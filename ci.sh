@@ -2,8 +2,9 @@
 # Offline CI gate: tier-1 verify + lints. No network access is assumed —
 # the workspace has no external dependencies.
 #
-#   ./ci.sh          tier-1 (release build + full test suite) + clippy + fmt
-#                    check + the reduced simbench smoke gate
+#   ./ci.sh          tier-1 (release build + full test suite) + the
+#                    benchmark self-test + clippy + fmt check + the reduced
+#                    simbench smoke gate
 #   ./ci.sh --bench  additionally run the full simbench regression gate
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
@@ -27,6 +28,9 @@ cargo test -q
 
 echo "== workspace tests =="
 cargo test -q --workspace
+
+echo "== benchmark self-test (perfbench at tiny shapes, BENCHMARK.json names) =="
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -95,7 +95,8 @@ pub enum EngineMode {
     /// traffic travels through per-destination-shard inboxes committed
     /// at the window boundary. Requires [`FabricMode::Incast`] (the
     /// destination-rooted sinks are what make every cross-node delivery
-    /// a sink merge, i.e. routable by destination).
+    /// a sink merge, i.e. routable by destination);
+    /// [`ClusterConfig::validate`] rejects any other fabric mode.
     Sharded,
 }
 
@@ -257,6 +258,20 @@ impl ClusterConfig {
             eager_node_model: false,
         }
     }
+
+    /// Reject a configuration that cannot run as specified, rather than
+    /// run something else in its place. [`World::new`](crate::World::new)
+    /// panics with this message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.engine.sharded() && !self.batch_fabric.incast() {
+            return Err(format!(
+                "engine = Sharded requires batch_fabric = Incast, got {:?}: the sharded \
+                 engine routes every cross-node delivery through a destination sink",
+                self.batch_fabric
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -281,5 +296,30 @@ mod tests {
         assert_eq!(c.service_cores, 4);
         assert_eq!(c.psm.ranks_per_node, 32);
         assert!(c.mem_per_node > 32 * (32 << 20));
+    }
+
+    #[test]
+    fn validate_rejects_sharded_without_sinks() {
+        let shape = JobShape {
+            nodes: 4,
+            ranks_per_node: 1,
+        };
+        let mut c = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
+        for mode in [
+            FabricMode::PerPacket,
+            FabricMode::Trains,
+            FabricMode::Flows,
+            FabricMode::Incast,
+        ] {
+            c.batch_fabric = mode;
+            c.engine = EngineMode::SingleQueue;
+            assert_eq!(c.validate(), Ok(()), "{mode:?}");
+            c.engine = EngineMode::Sharded;
+            let err = c.validate().err();
+            assert_eq!(err.is_none(), mode == FabricMode::Incast, "{mode:?}");
+            if let Some(e) = err {
+                assert!(e.contains("requires batch_fabric = Incast"), "{e}");
+            }
+        }
     }
 }

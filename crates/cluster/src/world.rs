@@ -722,7 +722,12 @@ struct EdgeMsg {
 
 impl World {
     /// Build a world for `app` under `cfg`.
+    ///
+    /// Panics if `cfg` fails [`ClusterConfig::validate`].
     pub fn new(cfg: ClusterConfig, app: App, iters: u32) -> World {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid cluster config: {e}");
+        }
         let shape = cfg.shape;
         let spec = pico_apps::spec(app, shape);
         let root_rng = Rng::new(cfg.seed);
@@ -1183,7 +1188,7 @@ impl World {
 
     /// Run; optionally print stuck-rank diagnostics at exhaustion.
     pub fn run_with_debug(mut self, debug: bool) -> RunResult {
-        if self.cfg.engine.sharded() && self.hot.incast && self.nodes.len() > 1 {
+        if self.cfg.engine.sharded() && self.nodes.len() > 1 {
             return self.run_sharded(debug);
         }
         let started = std::time::Instant::now();

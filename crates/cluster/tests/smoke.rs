@@ -1,7 +1,7 @@
 //! Full-stack smoke tests: small jobs through the complete node model.
 
 use pico_apps::{App, JobShape};
-use pico_cluster::{paper_config, run_app, ClusterConfig, FabricMode, OsConfig};
+use pico_cluster::{paper_config, run_app, ClusterConfig, EngineMode, FabricMode, OsConfig};
 use pico_ihk::Sysno;
 use pico_mpi::MpiCall;
 
@@ -341,4 +341,19 @@ fn determinism_same_seed_same_result() {
         "event streams must be identical"
     );
     assert_eq!(a.clamped_events, 0);
+}
+
+/// A sharded run over per-link flows cannot run as configured: world
+/// construction refuses it instead of falling back to the single queue.
+#[test]
+#[should_panic(expected = "engine = Sharded requires batch_fabric = Incast")]
+fn sharded_engine_without_sinks_is_rejected() {
+    let app = App::PingPong {
+        bytes: 4096,
+        reps: 2,
+    };
+    let mut cfg = paper_config(OsConfig::McKernelHfi, app, 2, Some(1));
+    cfg.engine = EngineMode::Sharded;
+    cfg.batch_fabric = FabricMode::Flows;
+    run_app(cfg, app, 1);
 }

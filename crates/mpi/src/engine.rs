@@ -11,8 +11,7 @@
 use crate::coll;
 use crate::types::{BufId, HostOp, MpiCall, Op, StepResult};
 use pico_psm::{Endpoint, MqHandle, Tag};
-use pico_sim::{Ns, TimeByKey};
-use std::collections::HashSet;
+use pico_sim::{FastMap, Ns, TimeByKey};
 
 /// Marker for "any source" in [`Op::Irecv`].
 pub const ANY_SOURCE: u32 = u32::MAX;
@@ -109,7 +108,7 @@ pub struct MpiRank {
     pc: usize,
     phase: Phase,
     outstanding: Vec<MqHandle>,
-    completed: HashSet<MqHandle>,
+    completed: FastMap<MqHandle, ()>,
     coll_seq: u64,
     in_call: Option<(MpiCall, Ns)>,
     profile: TimeByKey<MpiCall>,
@@ -128,7 +127,7 @@ impl MpiRank {
             pc: 0,
             phase: Phase::Ready,
             outstanding: Vec::new(),
-            completed: HashSet::new(),
+            completed: FastMap::new(),
             coll_seq: 0,
             in_call: None,
             profile: TimeByKey::new(),
@@ -155,7 +154,7 @@ impl MpiRank {
 
     /// A PSM request completed.
     pub fn on_completion(&mut self, h: MqHandle) {
-        self.completed.insert(h);
+        self.completed.insert(h, ());
     }
 
     /// Debug string: where the engine is stuck.
@@ -172,13 +171,15 @@ impl MpiRank {
             Phase::FiniPending => "FiniPending".to_string(),
             Phase::Done => "Done".to_string(),
         };
+        let mut completed: Vec<MqHandle> = self.completed.iter().map(|(&h, _)| h).collect();
+        completed.sort_unstable();
         format!(
             "pc={}/{} phase={} outstanding={:?} completed={:?}",
             self.pc,
             self.program.len(),
             phase,
             self.outstanding,
-            self.completed
+            completed
         )
     }
 
@@ -494,7 +495,7 @@ impl MpiRank {
                     self.phase = Phase::Coll(st);
                 }
                 Phase::WaitingSet { call: _, set } => {
-                    if set.iter().all(|h| self.completed.contains(h)) {
+                    if set.iter().all(|h| self.completed.contains_key(h)) {
                         for h in set.iter() {
                             self.completed.remove(h);
                         }
@@ -505,7 +506,7 @@ impl MpiRank {
                     }
                 }
                 Phase::Coll(st) => {
-                    if st.pending.iter().all(|h| self.completed.contains(h)) {
+                    if st.pending.iter().all(|h| self.completed.contains_key(h)) {
                         for h in st.pending.iter() {
                             self.completed.remove(h);
                         }

@@ -8,7 +8,7 @@
 
 use crate::mq::{MatchedQueue, MqHandle, PostedRecv, RankId, Tag};
 use crate::proto::{PsmAction, PsmPacket};
-use std::collections::HashMap;
+use pico_sim::FastMap;
 
 /// Endpoint configuration.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +72,7 @@ struct RecvState {
     payload: Option<Vec<u8>>,
     any_payload: bool,
     /// Registration cookies per window, kept until the data lands.
-    tids: HashMap<u32, Vec<u16>>,
+    tids: FastMap<u32, Vec<u16>>,
 }
 
 /// A PSM endpoint.
@@ -82,8 +82,8 @@ pub struct Endpoint {
     mq: MatchedQueue<ArrivalBody>,
     next_handle: u64,
     next_msg_id: u64,
-    sends: HashMap<u64, SendState>,
-    recvs: HashMap<(RankId, u64), RecvState>,
+    sends: FastMap<u64, SendState>,
+    recvs: FastMap<(RankId, u64), RecvState>,
     actions: Vec<PsmAction>,
     eager_sent: u64,
     rendezvous_sent: u64,
@@ -98,8 +98,8 @@ impl Endpoint {
             mq: MatchedQueue::new(),
             next_handle: 1,
             next_msg_id: 1,
-            sends: HashMap::new(),
-            recvs: HashMap::new(),
+            sends: FastMap::new(),
+            recvs: FastMap::new(),
             actions: Vec::new(),
             eager_sent: 0,
             rendezvous_sent: 0,
@@ -255,7 +255,7 @@ impl Endpoint {
             delivered: 0,
             payload: None,
             any_payload: false,
-            tids: HashMap::new(),
+            tids: FastMap::new(),
         };
         // Register up to `pipeline_depth` windows ahead.
         let prefill = self.cfg.pipeline_depth.min(windows);

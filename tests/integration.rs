@@ -185,3 +185,43 @@ fn full_stack_determinism() {
     assert_eq!(a.fabric_bytes, b.fabric_bytes);
     assert_eq!(a.kernel_time(), b.kernel_time());
 }
+
+/// A small eager incast pinned to golden digests. Every root receives
+/// 28 senders × 16 reps and its unexpected queue peaks at ~420 entries,
+/// so the PSM tag matching runs deep queues end to end. The values were
+/// captured at commit 481a4fe, with the linear-scan matched queue that
+/// the per-source indexed queue replaced; any change in matching order
+/// or timing moves them.
+#[test]
+fn incast_digests_pinned() {
+    let app = App::Incast {
+        bytes: 4096,
+        reps: 16,
+        roots: 4,
+    };
+    let golden = [
+        (
+            1,
+            0x3771_5be2_1a8a_93e9,
+            0x49f8_9f7d_cc03_18b4,
+            0x2c2c_48b4_112b_54b8,
+        ),
+        (
+            2,
+            0x7698_edce_5528_6160,
+            0x7373_0e7a_00fe_1723,
+            0x46a9_d37c_0a44_6583,
+        ),
+    ];
+    for (seed, finish, arrival, bulk) in golden {
+        let mut cfg = paper_config(OsConfig::McKernelHfi, app, 32, Some(1));
+        cfg.seed = seed;
+        let r = run_app(cfg, app, 1);
+        assert_eq!(r.ranks_done, 32, "seed {seed}");
+        assert_eq!(
+            (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
+            (finish, arrival, bulk),
+            "seed {seed}"
+        );
+    }
+}
