@@ -3,8 +3,8 @@
 # the workspace has no external dependencies.
 #
 #   ./ci.sh          tier-1 (release build + full test suite) + the
-#                    benchmark self-test + clippy + fmt check + the reduced
-#                    simbench smoke gate
+#                    benchmark self-test + clippy (workspace and benchmark
+#                    crate) + fmt check + the reduced simbench smoke gate
 #   ./ci.sh --bench  additionally run the full simbench regression gate
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
@@ -34,6 +34,7 @@ cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== rustfmt check =="
 cargo fmt --all --check || echo "(fmt drift, non-fatal)"

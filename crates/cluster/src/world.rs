@@ -932,12 +932,12 @@ impl World {
         let mut frames = BuddyAllocator::new(base, cfg.mem_per_node);
         if cfg.os == OsConfig::Linux {
             // A long-running host has fragmented physical memory.
-            let _held = frames.fragment(cfg.host_fragmentation);
+            frames.fragment(cfg.host_fragmentation);
         } else if !cfg.lwk_large_pages {
             // Ablation: an LWK without the contiguity guarantee — fully
             // checkerboarded memory degenerates the fast path to 4 KiB
             // requests.
-            let _held = frames.fragment(1.0);
+            frames.fragment(1.0);
         }
         let mut vfs = Vfs::new();
         let dev = vfs.devices.register("hfi1_0");

@@ -525,7 +525,7 @@ mod tests {
         // Even under the LWK policy, if physical memory is fragmented the
         // fast path still works — requests just get smaller.
         let mut r = rig(false);
-        let _held = r.frames.fragment(1.0); // checkerboard the whole range
+        r.frames.fragment(1.0); // checkerboard the whole range
         let (va, stats) = r
             .space
             .mmap_anonymous(&mut r.frames, 1 << 20, true)

@@ -8,7 +8,7 @@
 //! walker that reports how many levels it touched (the fast-path cost
 //! model charges per level).
 
-use crate::addr::{is_aligned, PageSize, PhysAddr, PhysRun, VirtAddr};
+use crate::addr::{is_aligned, PageSize, PhysAddr, PhysRun, VirtAddr, PAGE_4K};
 
 /// Page-table entry permission/state flags.
 pub mod flags {
@@ -29,7 +29,7 @@ pub enum PtError {
     Misaligned,
     /// The range is already (partially) mapped.
     AlreadyMapped,
-    /// Attempt to unmap / translate an unmapped address.
+    /// Attempt to translate an unmapped address.
     NotMapped,
     /// A huge-page leaf sits where a lower-level table is required.
     SplitsHugePage,
@@ -64,12 +64,16 @@ enum Entry {
 #[derive(Debug)]
 struct Table {
     entries: Vec<Entry>, // always 512
+    /// Entries that are not `Empty`. A non-root table whose count drops
+    /// to zero is freed.
+    live: u16,
 }
 
 impl Table {
     fn new() -> Box<Table> {
         Box::new(Table {
             entries: (0..512).map(|_| Entry::Empty).collect(),
+            live: 0,
         })
     }
 
@@ -88,7 +92,78 @@ impl Table {
                     },
                 })
                 .collect(),
+            live: self.live,
         })
+    }
+
+    /// Empty entry `idx`.
+    fn clear(&mut self, idx: usize) {
+        self.entries[idx] = Entry::Empty;
+        self.live -= 1;
+    }
+
+    /// Leaves in this subtree, which sits at `level`. Every live entry
+    /// of a level-1 table is a leaf.
+    fn leaves(&self, level: u8) -> u64 {
+        if level == 1 {
+            return self.live as u64;
+        }
+        self.entries
+            .iter()
+            .map(|e| match e {
+                Entry::Empty => 0,
+                Entry::Leaf { .. } => 1,
+                Entry::Table(t) => t.leaves(level - 1),
+            })
+            .sum()
+    }
+
+    /// Tables in this subtree, itself included.
+    #[cfg(test)]
+    fn tables(&self) -> u64 {
+        1 + self
+            .entries
+            .iter()
+            .map(|e| match e {
+                Entry::Table(t) => t.tables(),
+                _ => 0,
+            })
+            .sum::<u64>()
+    }
+
+    /// Remove every leaf wholly inside `[start, end)` below this table,
+    /// which sits at `level` and maps the span starting at `base`.
+    /// Subtrees the range fully covers are dropped whole; tables the
+    /// removal empties are freed. Returns the leaves removed.
+    fn unmap_range(&mut self, level: u8, base: u64, start: u64, end: u64) -> u64 {
+        let span = 1u64 << (12 + 9 * (level as u32 - 1));
+        let first = (start.max(base) - base) / span;
+        let last = ((end - 1).min(base + 512 * span - 1) - base) / span;
+        let mut removed = 0;
+        for i in first as usize..=last as usize {
+            let lo = base + i as u64 * span;
+            let covered = start <= lo && lo + span <= end;
+            match &mut self.entries[i] {
+                Entry::Empty => {}
+                Entry::Leaf { .. } if covered => {
+                    self.clear(i);
+                    removed += 1;
+                }
+                // A huge leaf the range only partly covers stays.
+                Entry::Leaf { .. } => {}
+                Entry::Table(t) if covered => {
+                    removed += t.leaves(level - 1);
+                    self.clear(i);
+                }
+                Entry::Table(t) => {
+                    removed += t.unmap_range(level - 1, lo, start, end);
+                    if t.live == 0 {
+                        self.clear(i);
+                    }
+                }
+            }
+        }
+        removed
     }
 }
 
@@ -149,6 +224,12 @@ impl PageTable {
         }
     }
 
+    /// Page-table pages currently allocated, the root included.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> u64 {
+        self.root.tables()
+    }
+
     /// Install a mapping `va -> pa` of the given page size.
     pub fn map(
         &mut self,
@@ -171,6 +252,7 @@ impl PageTable {
             match &mut table.entries[idx] {
                 Entry::Empty => {
                     table.entries[idx] = Entry::Table(Table::new());
+                    table.live += 1;
                 }
                 Entry::Leaf { .. } => return Err(PtError::AlreadyMapped),
                 Entry::Table(_) => {}
@@ -188,6 +270,7 @@ impl PageTable {
                     pa: pa.0,
                     flags: fl | flags::PRESENT,
                 };
+                table.live += 1;
                 self.mapped_pages += 1;
                 Ok(())
             }
@@ -195,44 +278,32 @@ impl PageTable {
         }
     }
 
-    /// Remove the mapping covering `va`; returns what was mapped.
-    pub fn unmap(&mut self, va: VirtAddr) -> Result<(PhysAddr, PageSize), PtError> {
-        if !va.is_canonical() {
+    /// Remove every leaf that lies wholly inside `[va, va+len)` in one
+    /// walk that visits each table once and drops subtrees the range
+    /// fully covers; returns the number of leaves removed. A huge leaf
+    /// the range covers only in part is left in place. Tables the
+    /// removal empties are freed (the root stays).
+    pub fn unmap_range(&mut self, va: VirtAddr, len: u64) -> Result<u64, PtError> {
+        if len == 0 {
+            return Ok(0);
+        }
+        let last = VirtAddr(va.0.wrapping_add(len - 1));
+        if !va.is_canonical() || !last.is_canonical() || last.0 < va.0 {
             return Err(PtError::NonCanonical);
         }
-        let mut table = &mut self.root;
-        let mut level = 4u8;
-        loop {
-            let idx = index(va.0, level);
-            match &mut table.entries[idx] {
-                Entry::Empty => return Err(PtError::NotMapped),
-                Entry::Leaf { pa, .. } => {
-                    let size = match level {
-                        1 => PageSize::Size4K,
-                        2 => PageSize::Size2M,
-                        3 => PageSize::Size1G,
-                        _ => return Err(PtError::NotMapped),
-                    };
-                    if !is_aligned(va.0, size.bytes()) {
-                        // Unmapping mid-page: caller must pass the page base.
-                        return Err(PtError::Misaligned);
-                    }
-                    let pa = PhysAddr(*pa);
-                    table.entries[idx] = Entry::Empty;
-                    self.mapped_pages -= 1;
-                    return Ok((pa, size));
-                }
-                Entry::Table(_) => {}
-            }
-            table = match &mut table.entries[idx] {
-                Entry::Table(t) => t,
-                _ => unreachable!(),
-            };
-            if level == 1 {
-                return Err(PtError::NotMapped);
-            }
-            level -= 1;
+        if (va.0 ^ last.0) >> 47 != 0 {
+            // The range spans the non-canonical hole.
+            return Err(PtError::NonCanonical);
         }
+        if !is_aligned(va.0, PAGE_4K) || !is_aligned(len, PAGE_4K) {
+            return Err(PtError::Misaligned);
+        }
+        // The root indexes bits 47..39; drop the sign extension.
+        const VA_MASK: u64 = (1 << 48) - 1;
+        let start = va.0 & VA_MASK;
+        let removed = self.root.unmap_range(4, 0, start, start + len);
+        self.mapped_pages -= removed;
+        Ok(removed)
     }
 
     /// Translate `va` to a physical address.
@@ -311,7 +382,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{PAGE_2M, PAGE_4K};
+    use crate::addr::PAGE_2M;
 
     #[test]
     fn map_translate_4k() {
@@ -373,10 +444,9 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map(VirtAddr(0x2000), PhysAddr(0x6000), PageSize::Size4K, 0)
             .unwrap();
-        let (pa, sz) = pt.unmap(VirtAddr(0x2000)).unwrap();
-        assert_eq!((pa, sz), (PhysAddr(0x6000), PageSize::Size4K));
+        assert_eq!(pt.unmap_range(VirtAddr(0x2000), PAGE_4K), Ok(1));
         assert_eq!(pt.translate(VirtAddr(0x2000)), Err(PtError::NotMapped));
-        assert_eq!(pt.unmap(VirtAddr(0x2000)), Err(PtError::NotMapped));
+        assert_eq!(pt.unmap_range(VirtAddr(0x2000), PAGE_4K), Ok(0));
         assert_eq!(pt.mapped_pages(), 0);
     }
 
@@ -462,7 +532,7 @@ mod tests {
         assert_eq!(t2.page_size, PageSize::Size2M);
         // The original is untouched and the copy is independent.
         let mut shifted = shifted;
-        shifted.unmap(VirtAddr(0x4000)).unwrap();
+        assert_eq!(shifted.unmap_range(VirtAddr(0x4000), PAGE_4K), Ok(1));
         assert!(pt.translate(VirtAddr(0x4000)).is_ok());
     }
 
@@ -479,5 +549,90 @@ mod tests {
         let (runs, levels) = pt.contiguous_runs(VirtAddr(0x1000), 0).unwrap();
         assert!(runs.is_empty());
         assert_eq!(levels, 0);
+    }
+
+    #[test]
+    fn unmapping_everything_leaves_only_the_root() {
+        let mut pt = PageTable::new();
+        assert_eq!(pt.tables(), 1);
+        // 4 KiB leaves across two level-1 tables, a 2 MiB leaf, and a
+        // far-away 4 KiB leaf under its own level-3 and level-2 tables.
+        let far = 5u64 << 39;
+        let mut vas: Vec<u64> = (0..600).map(|i| i * PAGE_4K).collect();
+        vas.push(far);
+        for &va in &vas {
+            pt.map(VirtAddr(va), PhysAddr(va), PageSize::Size4K, 0)
+                .unwrap();
+        }
+        pt.map(VirtAddr(4 * PAGE_2M), PhysAddr(0), PageSize::Size2M, 0)
+            .unwrap();
+        // root + L3 + L2 + 2 L1 near 0; L3 + L2 + L1 at `far`.
+        assert_eq!(pt.tables(), 8);
+        // Leaf by leaf: each emptied table goes as its last leaf does.
+        for &va in vas.iter().rev() {
+            assert_eq!(pt.unmap_range(VirtAddr(va), PAGE_4K), Ok(1));
+        }
+        assert_eq!(pt.tables(), 3, "the 2 MiB leaf keeps root, L3 and L2");
+        assert_eq!(pt.unmap_range(VirtAddr(4 * PAGE_2M), PAGE_2M), Ok(1));
+        assert_eq!(pt.mapped_pages(), 0);
+        assert_eq!(pt.tables(), 1);
+        assert_eq!(pt.translate(VirtAddr(0)), Err(PtError::NotMapped));
+
+        // The same layout again, removed in one range walk.
+        for &va in &vas {
+            pt.map(VirtAddr(va), PhysAddr(va), PageSize::Size4K, 0)
+                .unwrap();
+        }
+        pt.map(VirtAddr(4 * PAGE_2M), PhysAddr(0), PageSize::Size2M, 0)
+            .unwrap();
+        assert_eq!(pt.unmap_range(VirtAddr(0), far + PAGE_4K), Ok(602));
+        assert_eq!(pt.mapped_pages(), 0);
+        assert_eq!(pt.tables(), 1);
+    }
+
+    #[test]
+    fn unmap_range_removes_exactly_the_leaves_inside() {
+        let mut pt = PageTable::new();
+        // 4 KiB leaves on both sides of a 2 MiB boundary, a 2 MiB leaf
+        // after them, and more 4 KiB leaves after that.
+        let small: Vec<u64> = (PAGE_2M - 8 * PAGE_4K..PAGE_2M + 8 * PAGE_4K)
+            .step_by(PAGE_4K as usize)
+            .chain((3 * PAGE_2M..3 * PAGE_2M + 4 * PAGE_4K).step_by(PAGE_4K as usize))
+            .collect();
+        for &va in &small {
+            pt.map(VirtAddr(va), PhysAddr(va), PageSize::Size4K, 0)
+                .unwrap();
+        }
+        pt.map(VirtAddr(2 * PAGE_2M), PhysAddr(0), PageSize::Size2M, 0)
+            .unwrap();
+        let mapped = pt.mapped_pages();
+        // [2M - 3 pages, 3M + 2 pages): the last 3 pages below 2M, the 8
+        // above it, the whole 2 MiB leaf and 2 pages after it.
+        let (lo, hi) = (PAGE_2M - 3 * PAGE_4K, 3 * PAGE_2M + 2 * PAGE_4K);
+        assert_eq!(pt.unmap_range(VirtAddr(lo), hi - lo), Ok(14));
+        assert_eq!(pt.mapped_pages(), mapped - 14);
+        for &va in &small {
+            let inside = (lo..hi).contains(&va);
+            assert_eq!(pt.translate(VirtAddr(va)).is_ok(), !inside, "va {va:#x}");
+        }
+        assert!(pt.translate(VirtAddr(2 * PAGE_2M)).is_err());
+        // The emptied level-1 table above 2 MiB is gone.
+        assert_eq!(pt.tables(), 5);
+
+        // A huge leaf the range covers only in part stays mapped.
+        pt.map(VirtAddr(2 * PAGE_2M), PhysAddr(0), PageSize::Size2M, 0)
+            .unwrap();
+        assert_eq!(pt.unmap_range(VirtAddr(2 * PAGE_2M), PAGE_4K), Ok(0));
+        assert!(pt.translate(VirtAddr(2 * PAGE_2M)).is_ok());
+
+        assert_eq!(
+            pt.unmap_range(VirtAddr(0x1800), PAGE_4K),
+            Err(PtError::Misaligned)
+        );
+        assert_eq!(
+            pt.unmap_range(VirtAddr(0x7FFF_FFFF_F000), 2 * PAGE_4K),
+            Err(PtError::NonCanonical)
+        );
+        assert_eq!(pt.unmap_range(VirtAddr(0), 0), Ok(0));
     }
 }

@@ -72,8 +72,8 @@ pub struct Vma {
     /// `get_user_pages` pin references currently outstanding.
     pub gup_pins: u64,
     blocks: Vec<OwnedBlock>,
-    /// Page-table leaves installed for this VMA: `(va, page_size)`.
-    leaves: Vec<(VirtAddr, PageSize)>,
+    /// Page-table leaves installed for this VMA.
+    leaves: u64,
 }
 
 /// Result of a `get_user_pages()` call: the 4 KiB frames backing the range.
@@ -290,7 +290,7 @@ impl AddressSpace {
             pinned,
             gup_pins: 0,
             blocks: Vec::new(),
-            leaves: Vec::new(),
+            leaves: 0,
         };
         let mut stats = MapStats::default();
         let result = match policy {
@@ -303,7 +303,7 @@ impl AddressSpace {
         };
         if let Err(e) = result {
             // Roll back everything this VMA touched.
-            teardown_vma(&mut img.page_table, phys, &mut vma);
+            teardown_vma(&mut img.page_table, phys, &vma);
             return Err(e);
         }
         img.vmas.insert(va.0, vma);
@@ -315,16 +315,15 @@ impl AddressSpace {
     /// removed (feeds the TLB-shootdown cost model).
     pub fn munmap(&mut self, phys: &mut BuddyAllocator, va: VirtAddr) -> Result<u64, MapError> {
         let img = self.image_mut();
-        let mut vma = img.vmas.remove(&va.0).ok_or(MapError::Invalid)?;
+        let vma = img.vmas.remove(&va.0).ok_or(MapError::Invalid)?;
         if vma.gup_pins > 0 {
             // Pages pinned by get_user_pages can't be unmapped from under
             // the device.
             img.vmas.insert(va.0, vma);
             return Err(MapError::Pinned);
         }
-        let leaves = vma.leaves.len() as u64;
-        teardown_vma(&mut img.page_table, phys, &mut vma);
-        Ok(leaves)
+        teardown_vma(&mut img.page_table, phys, &vma);
+        Ok(vma.leaves)
     }
 
     /// Linux-style `get_user_pages()`: translate and pin every 4 KiB page
@@ -413,7 +412,7 @@ fn populate_fragmented(
         stats.blocks_allocated += 1;
         let va = vma.start + off;
         pt.map(va, frame, PageSize::Size4K, user_flags(vma.pinned))?;
-        vma.leaves.push((va, PageSize::Size4K));
+        vma.leaves += 1;
         stats.leaves_mapped += 1;
         off += PAGE_4K;
     }
@@ -440,7 +439,7 @@ fn populate_contiguous(
                 });
                 stats.blocks_allocated += 1;
                 pt.map(va, frame, PageSize::Size2M, user_flags(vma.pinned))?;
-                vma.leaves.push((va, PageSize::Size2M));
+                vma.leaves += 1;
                 stats.leaves_mapped += 1;
                 stats.large_leaves += 1;
                 off += PAGE_2M;
@@ -463,7 +462,7 @@ fn populate_contiguous(
                 PageSize::Size4K,
                 user_flags(vma.pinned),
             )?;
-            vma.leaves.push((va + inner, PageSize::Size4K));
+            vma.leaves += 1;
             stats.leaves_mapped += 1;
             inner += PAGE_4K;
         }
@@ -472,12 +471,26 @@ fn populate_contiguous(
     Ok(())
 }
 
-fn teardown_vma(pt: &mut PageTable, phys: &mut BuddyAllocator, vma: &mut Vma) {
-    for (va, _) in vma.leaves.drain(..) {
-        let _ = pt.unmap(va);
-    }
-    for b in vma.blocks.drain(..) {
-        let _ = phys.free(b.pa, b.order);
+/// Remove the VMA's leaves in one page-table walk and return its blocks
+/// to the frame allocator. A leaf count that does not match, or a block
+/// the allocator refuses, means the address space and the allocator
+/// disagree about who owns what: that is a bug, so it panics.
+fn teardown_vma(pt: &mut PageTable, phys: &mut BuddyAllocator, vma: &Vma) {
+    let start = vma.start.0;
+    let removed = pt
+        .unmap_range(vma.start, vma.len)
+        .unwrap_or_else(|e| panic!("VMA {start:#x}: unmapping its range failed: {e:?}"));
+    assert_eq!(
+        removed, vma.leaves,
+        "VMA {start:#x}: page table held another leaf count than the VMA installed"
+    );
+    for b in &vma.blocks {
+        phys.free(b.pa, b.order).unwrap_or_else(|e| {
+            panic!(
+                "VMA {start:#x}: freeing block {:#x} (order {}) failed: {e:?}",
+                b.pa.0, b.order
+            )
+        });
     }
 }
 
@@ -531,7 +544,7 @@ mod tests {
     #[test]
     fn fragmented_policy_on_fragmented_buddy_yields_many_runs() {
         let mut phys = fresh_phys(64);
-        let _held = phys.fragment(0.5);
+        phys.fragment(0.5);
         let mut asp = AddressSpace::new(MapPolicy::Fragmented4k, BASE);
         let (va, stats) = asp.mmap_anonymous(&mut phys, 1 << 20, true).unwrap();
         assert_eq!(stats.large_leaves, 0);
@@ -548,7 +561,7 @@ mod tests {
     #[test]
     fn contiguous_policy_survives_fragmentation_gracefully() {
         let mut phys = fresh_phys(64);
-        let _held = phys.fragment(0.5);
+        phys.fragment(0.5);
         let mut asp = AddressSpace::new(MapPolicy::ContiguousLarge, BASE);
         // No 2M blocks available; falls back to 4K without failing.
         let (va, stats) = asp.mmap_anonymous(&mut phys, 1 << 20, true).unwrap();
@@ -699,5 +712,60 @@ mod tests {
         );
         let (va, _) = asp.mmap_anonymous(&mut phys, PAGE_4K, false).unwrap();
         assert_eq!(asp.get_user_pages(va, 0).unwrap_err(), MapError::Invalid);
+    }
+
+    /// Teardown of a mixed 2 MiB + 4 KiB `ContiguousLarge` mapping on a
+    /// partly fragmented pool removes exactly that VMA's leaves in one
+    /// range walk, returns every block, and leaves its neighbour intact.
+    #[test]
+    fn munmap_of_mixed_layout_spares_the_neighbour() {
+        let mut phys = fresh_phys(64);
+        // Checkerboard the low 16 MiB: odd pages free, even pages held.
+        assert_eq!(phys.fragment(0.25), 2048);
+        let mut asp = AddressSpace::new(MapPolicy::ContiguousLarge, BASE);
+        let (a, sa) = asp.mmap_anonymous(&mut phys, 64 << 10, true).unwrap();
+        assert_eq!((sa.leaves_mapped, sa.large_leaves), (16, 0));
+        let free_before = phys.free_bytes();
+
+        // Two 2 MiB leaves, then a 100 KiB tail as 64 KiB + 32 KiB blocks
+        // and one page from the checkerboard.
+        let len = 2 * PAGE_2M + (100 << 10);
+        let (b, sb) = asp.mmap_anonymous(&mut phys, len, true).unwrap();
+        assert_eq!((sb.leaves_mapped, sb.large_leaves), (27, 2));
+        assert_eq!(asp.translate(b).unwrap().pa, PhysAddr(18 << 20));
+        let last = b + len - PAGE_4K;
+        assert_eq!(asp.translate(last).unwrap().pa, PhysAddr(PAGE_4K));
+        let tables_with_b = asp.image().0.page_table.tables();
+
+        assert_eq!(asp.munmap(&mut phys, b), Ok(27));
+        assert_eq!(phys.free_bytes(), free_before);
+        assert_eq!(asp.mapped_pages(), 16);
+        let mut off = 0;
+        while off < len {
+            assert_eq!(asp.translate(b + off), Err(PtError::NotMapped));
+            off += PAGE_4K;
+        }
+        for i in 0..16 {
+            let t = asp.translate(a + i * PAGE_4K).unwrap();
+            assert_eq!(t.pa, PhysAddr((16 << 20) + i * PAGE_4K));
+        }
+        // B's tail had a level-1 table of its own.
+        assert_eq!(asp.image().0.page_table.tables(), tables_with_b - 1);
+
+        assert_eq!(asp.munmap(&mut phys, a), Ok(16));
+        assert_eq!(asp.image().0.page_table.tables(), 1);
+        assert_eq!(phys.allocated(), 2048 * PAGE_4K);
+    }
+
+    /// A block the frame allocator refuses at teardown is a bug, not an
+    /// outcome to ignore: here the frames go back to an allocator that
+    /// never handed them out, and that already holds them free.
+    #[test]
+    #[should_panic(expected = "freeing block 0x0 (order 0) failed: BadFree")]
+    fn teardown_panics_on_a_refused_free() {
+        let mut phys = fresh_phys(16);
+        let mut asp = AddressSpace::new(MapPolicy::Fragmented4k, BASE);
+        let (va, _) = asp.mmap_anonymous(&mut phys, PAGE_4K, false).unwrap();
+        let _ = asp.munmap(&mut fresh_phys(16), va);
     }
 }

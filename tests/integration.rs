@@ -186,6 +186,72 @@ fn full_stack_determinism() {
     assert_eq!(a.kernel_time(), b.kernel_time());
 }
 
+/// QBOX at 2 nodes × 4 ranks, one iteration, pinned to golden digests on
+/// every OS configuration. Each rank maps and unmaps 16 MiB of scratch
+/// four times, so the runs go through the Linux 4 KiB and the McKernel
+/// large-page mmap/munmap paths, whose leaf counts set the simulated
+/// syscall costs. The values were captured at commit e53856e, before the
+/// bitmap frame allocator, page-table reclaim and range teardown; any
+/// change in what those paths allocate or count moves them.
+#[test]
+fn qbox_digests_pinned() {
+    let golden = [
+        (
+            OsConfig::Linux,
+            1,
+            0x3362_4095_2147_af25,
+            0x737f_43de_1b5e_92b1,
+            0x1ba1_ee06_abc9_4060,
+        ),
+        (
+            OsConfig::Linux,
+            2,
+            0x761e_b414_5c3a_fb3f,
+            0xbb79_8d02_ba4e_3eb4,
+            0x8fb8_c6a4_f8a0_bf61,
+        ),
+        (
+            OsConfig::McKernel,
+            1,
+            0x2e30_63ab_375d_1545,
+            0xbc8f_5291_ddb7_6a2e,
+            0x583d_677e_f730_bcd1,
+        ),
+        (
+            OsConfig::McKernel,
+            2,
+            0x8e6a_c158_1d75_e456,
+            0xba50_21cb_f3e9_a924,
+            0xf8e5_c02d_1a42_426d,
+        ),
+        (
+            OsConfig::McKernelHfi,
+            1,
+            0xe74f_053e_913f_7c25,
+            0x6635_ce77_1b41_1e30,
+            0x9e32_9191_fe64_2b2b,
+        ),
+        (
+            OsConfig::McKernelHfi,
+            2,
+            0x8359_f911_b266_1956,
+            0x3ddf_3ee5_a7f2_6033,
+            0xa3cb_89f0_295d_5ebe,
+        ),
+    ];
+    for (os, seed, finish, arrival, bulk) in golden {
+        let mut cfg = paper_config(os, App::Qbox, 2, Some(4));
+        cfg.seed = seed;
+        let r = run_app(cfg, App::Qbox, 1);
+        assert_eq!(r.ranks_done, 8, "{os:?} seed {seed}");
+        assert_eq!(
+            (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
+            (finish, arrival, bulk),
+            "{os:?} seed {seed}"
+        );
+    }
+}
+
 /// A small eager incast pinned to golden digests. Every root receives
 /// 28 senders × 16 reps and its unexpected queue peaks at ~420 entries,
 /// so the PSM tag matching runs deep queues end to end. The values were

@@ -95,9 +95,8 @@ fn contiguous_runs_tile_mappings() {
         let contiguous = case % 2 == 0;
         let frag = (case / 2) % 2 == 0;
         let mut frames = BuddyAllocator::new(PhysAddr(0), 64 << 20);
-        let _held;
         if frag {
-            _held = frames.fragment(0.5);
+            frames.fragment(0.5);
         }
         let policy = if contiguous {
             MapPolicy::ContiguousLarge
