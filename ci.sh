@@ -5,6 +5,9 @@
 #   ./ci.sh          tier-1 (release build + full test suite) + the
 #                    benchmark self-test + clippy (workspace and benchmark
 #                    crate) + fmt check + the reduced simbench smoke gate
+#                    (wheel ≥2× heap; Incast against the per-packet
+#                    reference: ping-pong ≥20× fewer events, Qbox ≥5×,
+#                    18-node incast ≥40×, fan-in bulk digest equal)
 #   ./ci.sh --bench  additionally run the full simbench regression gate
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
@@ -26,8 +29,10 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== workspace tests =="
-cargo test -q --workspace
+# The root package's tests already ran above; run every other workspace
+# member's tests once.
+echo "== workspace tests (excluding the root package) =="
+cargo test -q --workspace --exclude picodriver-suite
 
 echo "== benchmark self-test (perfbench at tiny shapes, BENCHMARK.json names) =="
 cargo test -q --manifest-path perfbench/Cargo.toml
@@ -39,7 +44,7 @@ cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all --check || echo "(fmt drift, non-fatal)"
 
-echo "== simbench smoke gate (queue speedup, train batching, clamped events) =="
+echo "== simbench smoke gate (queue speedup, coalescing vs per-packet reference, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke
 
 if [[ "${1:-}" == "--bench" ]]; then

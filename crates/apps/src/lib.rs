@@ -59,15 +59,15 @@ pub enum App {
     /// Synthetic incast: the last `n − roots` ranks each stream `reps`
     /// eager messages at every one of the first `roots` ranks,
     /// converging on the roots' downlinks — the fabric-sink stress
-    /// pattern (`FabricMode::Incast` vs `Flows` gate in simbench).
+    /// pattern (`FabricMode::Incast` vs `PerPacket` gate in simbench).
     /// `roots = 1` is the classic (N−1)-to-1 fan-in; larger `roots`
     /// superimposes one such fan-in per root, the traffic shape of an
     /// alltoall round. The pattern is deliberately bipartite (no rank
     /// both sends and receives data): a pure sender's emission times
     /// depend only on fabric injection times, which the `Incast` merge
-    /// reproduces FIFO-exactly, so per-member arrivals stay
-    /// bit-identical to `Flows` even while the two modes batch
-    /// deliveries differently.
+    /// reproduces FIFO-exactly, so on the classic fan-in per-member
+    /// arrivals stay bit-identical to the per-packet reference even
+    /// though the two modes batch deliveries differently.
     Incast {
         /// Message size (keep ≤ the eager threshold so the PIO path is hot).
         bytes: u64,
@@ -272,11 +272,12 @@ fn incast(n: u32, rank: u32, bytes: u64, reps: u32, roots: u32) -> Vec<Op> {
     // completions), and a pure receiver never emits while multi-source
     // traffic merges at its downlink — so neither mode's delivery
     // batching can perturb when any data message is committed. That
-    // keeps per-member fabric arrivals *bit-identical* between
-    // `FabricMode::Flows` and `Incast` (the simbench digest gate); a
-    // collective, per-rep handshake, or send+receive rank here would
-    // re-introduce the run-ahead feedback that both soft modes only
-    // approximate.
+    // keeps per-member fabric arrivals on the single-root fan-in
+    // *bit-identical* between `FabricMode::PerPacket` and `Incast` (the
+    // simbench digest gate; with nine roots they differ from the
+    // reference, which predates the sinks); a collective, per-rep
+    // handshake, or send+receive rank here would re-introduce the
+    // run-ahead feedback that `Incast` only approximates.
     let mut p = vec![Op::Init { threaded: false }];
     if rank < roots {
         // Roots drain every sender, one wave per rep so the

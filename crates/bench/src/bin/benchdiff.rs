@@ -9,9 +9,9 @@
 //! 10% in the regressing direction fails the run with exit code 1 —
 //! the scheduled CI job turns red while per-push CI stays untouched.
 //! Each metric carries a direction: throughput figures
-//! (`events_per_sec`, queue speedup) and gate ratios (train / flow /
-//! incast event reductions, the stat-memory and shard-state
-//! reductions) regress when they *drop*; the weak-scaling memory
+//! (`events_per_sec`, queue speedup) and gate ratios (the coalescing,
+//! Qbox and incast event reductions against the per-packet reference,
+//! the stat-memory and shard-state reductions) regress when they *drop*; the weak-scaling memory
 //! figures at every node point (`peak_alloc_bytes`, `stat_bytes`,
 //! `shard_state_bytes`) regress when they *grow*. A missing or unreadable
 //! *previous* artifact is not an error: the first nightly run (or a
@@ -26,7 +26,11 @@
 //! reordered rows or newly added benchmarks never misalign a
 //! comparison: new metrics start trending the night after they first
 //! appear, and sweeps at different node counts land under different
-//! keys rather than diffing against each other.
+//! keys rather than diffing against each other. The same holds when a
+//! gate changes what it measures: the event reductions are trended as
+//! `*.event_reduction_vs_reference` (per-packet reference over
+//! `FabricMode::Incast`), keys that artifacts recording reductions over
+//! the retired per-flush train and per-link flow modes never carried.
 
 use pico_sim::Json;
 
@@ -66,19 +70,21 @@ fn metrics(doc: &Json) -> Vec<(String, f64, Dir)> {
     for row in doc.get("trains").and_then(Json::as_arr).unwrap_or(&[]) {
         let os = row.get("os").and_then(Json::as_str).unwrap_or("?");
         push(
-            format!("trains[{os}].event_reduction"),
-            row.get("event_reduction"),
+            format!("trains[{os}].event_reduction_vs_reference"),
+            row.get("event_reduction_vs_reference"),
         );
+    }
+    if let Some(q) = doc.get("qbox_resplits") {
         push(
-            format!("trains[{os}].event_reduction_flows"),
-            row.get("event_reduction_flows"),
+            "qbox_resplits.event_reduction_vs_reference".into(),
+            q.get("event_reduction_vs_reference"),
         );
     }
     for row in doc.get("incast").and_then(Json::as_arr).unwrap_or(&[]) {
         let pat = row.get("pattern").and_then(Json::as_str).unwrap_or("?");
         push(
-            format!("incast[{pat}].event_reduction_incast"),
-            row.get("event_reduction_incast"),
+            format!("incast[{pat}].event_reduction_vs_reference"),
+            row.get("event_reduction_vs_reference"),
         );
     }
     // The sharded-engine speedup is only a trendable figure when it was

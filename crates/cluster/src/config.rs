@@ -33,47 +33,28 @@ impl OsConfig {
     pub const ALL: [OsConfig; 3] = [OsConfig::Linux, OsConfig::McKernel, OsConfig::McKernelHfi];
 }
 
-/// How same-link packet bursts travel through the fabric model. The three
-/// values form a reference tower: each faster mode is equivalence-tested
-/// against the one below it the way the timing wheel is tested against
-/// `HeapEventQueue`.
+/// How same-link packet bursts travel through the fabric model. The
+/// coalescing mode is equivalence-tested against the per-packet reference
+/// the way the timing wheel is tested against `HeapEventQueue`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FabricMode {
     /// One `Ev::Packet` per hop — the per-packet reference model.
     PerPacket,
-    /// PR 2 behaviour: coalesce each dispatch's same-link burst into one
-    /// fabric reservation and one delivery event with an analytic
-    /// per-packet arrival spread; the train dies at the flush boundary.
-    Trains,
-    /// Persistent per-link flows: the train stays open across dispatches,
-    /// successive flushes extend the fabric reservation, and delivery
-    /// rides the zero-event soft schedule; only conflicts (lazy resplit),
-    /// `flow_linger_ns` idleness, or the member cap close a flow.
-    Flows,
-    /// Destination-rooted incast flow graph: one sink per destination
+    /// Destination-rooted incast flow graph: each dispatch's same-link
+    /// burst becomes one fabric reservation, and one sink per destination
     /// node merges members from *all* source links into a single soft
-    /// schedule over the shared downlink (`Fabric::extend_sink`). An
-    /// N-to-1 incast needs one close reaper and one soft entry instead
-    /// of N per-link flows; pause/resplit, member caps, and lingering
-    /// are per-sink. FIFO-exact against [`FabricMode::Flows`].
+    /// schedule over the shared downlink (`Fabric::extend_sink`). The
+    /// sink stays open across dispatches; successive flushes extend its
+    /// reservation, and delivery rides the zero-event soft schedule. An
+    /// N-to-1 incast needs one close reaper and one soft entry; pause,
+    /// member caps, and lingering are per-sink. Conserved quantities
+    /// equal [`FabricMode::PerPacket`] exactly, and the bulk arrival
+    /// digest equals it where delivery is FIFO-exact.
     Incast,
 }
 
 impl FabricMode {
-    /// Whether bursts are coalesced at all (trains, flows, or sinks).
-    pub fn batches(self) -> bool {
-        self != FabricMode::PerPacket
-    }
-    /// Whether trains persist across dispatches as per-link flows.
-    pub fn flows(self) -> bool {
-        self == FabricMode::Flows
-    }
-    /// Whether deliveries ride the cross-dispatch soft schedule (per-link
-    /// flows or per-destination sinks).
-    pub fn soft(self) -> bool {
-        matches!(self, FabricMode::Flows | FabricMode::Incast)
-    }
-    /// Whether flows are merged into destination-rooted sinks.
+    /// Whether bursts coalesce into destination-rooted sinks.
     pub fn incast(self) -> bool {
         self == FabricMode::Incast
     }
@@ -83,8 +64,8 @@ impl FabricMode {
 /// reference model (one timing wheel, one thread); the sharded engine
 /// partitions the cluster by node into per-shard wheels executed on
 /// worker threads under conservative lookahead. The two are
-/// equivalence-tested against each other the way the fabric-mode tower
-/// tests `Trains`/`Flows`/`Incast` against `PerPacket`.
+/// equivalence-tested against each other the way `Incast` is tested
+/// against `PerPacket`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// One global timing wheel walked by one thread — the reference.
@@ -129,6 +110,7 @@ pub struct ClusterConfig {
     /// RNG seed (runs are bit-deterministic per seed).
     pub seed: u64,
     /// Fast-path SDMA request cap (hardware max 10 KB; ablations sweep).
+    /// Must be positive: [`validate`](Self::validate) rejects 0.
     pub sdma_cap: u64,
     /// Enable the fast-path TID registration cache.
     pub tid_cache: bool,
@@ -152,20 +134,19 @@ pub struct ClusterConfig {
     pub host_fragmentation: f64,
     /// Carry real payloads end to end (small runs only).
     pub backed: bool,
-    /// Fabric burst coalescing mode (see [`FabricMode`]). The slower
-    /// modes are kept as reference models for equivalence testing the way
-    /// `HeapEventQueue` backs the timing wheel.
+    /// Fabric burst coalescing mode (see [`FabricMode`]). The per-packet
+    /// mode is kept as the reference model for equivalence testing the
+    /// way `HeapEventQueue` backs the timing wheel.
     pub batch_fabric: FabricMode,
-    /// Close a persistent flow whose link has been idle this long; closed
-    /// flows finalize their statistics and the next burst opens a fresh
-    /// one. Also paces the `Ev::FlowClose` reaper timers (one per active
-    /// link, rescheduled at this cadence). In [`FabricMode::Incast`] the
-    /// same knob lingers and paces per-destination sinks instead.
+    /// Close a per-destination sink ([`FabricMode::Incast`]) whose
+    /// sources have all been idle this long; closed sinks finalize their
+    /// statistics and the next burst opens a fresh one. Also paces the
+    /// `Ev::SinkClose` reaper timers (one per active sink, rescheduled at
+    /// this cadence).
     pub flow_linger_ns: Ns,
-    /// Hard cap on members accumulated by one flow (or, under
-    /// [`FabricMode::Incast`], one per-destination sink) before it is
-    /// closed and a successor opened — bounds the member vector a single
-    /// delivery dispatch may own.
+    /// Hard cap on members accumulated by one per-destination sink
+    /// before it is closed and a successor opened — bounds the member
+    /// vector a single delivery dispatch may own.
     pub flow_member_cap: usize,
     /// log2 of the fine pages spanned by one coarse-wheel bucket
     /// (see `EventQueue::with_coarse_bits`); 6 keeps the PR 3 layout
@@ -199,9 +180,9 @@ pub struct ClusterConfig {
     /// costs O(shards × total_nodes) memory and exists as the reference
     /// the sparse layout is equivalence-tested (and its ≥8× memory gate
     /// measured) against. Results are bit-identical either way — a
-    /// shard only ever touches its own nodes' state, and a sparse
-    /// remote entry is created on first touch with exactly a fresh
-    /// gate's state. Single-queue runs always span every node.
+    /// shard only ever touches its own nodes' state (a sparse shard
+    /// fabric panics on any other gate). Single-queue runs always span
+    /// every node.
     pub dense_shard_state: bool,
     /// Boot every node eagerly — full dense driver register files, dense
     /// TID receive arrays, dense per-core block pools, and a privately
@@ -263,6 +244,13 @@ impl ClusterConfig {
     /// run something else in its place. [`World::new`](crate::World::new)
     /// panics with this message.
     pub fn validate(&self) -> Result<(), String> {
+        if self.sdma_cap == 0 {
+            return Err(
+                "sdma_cap = 0: the fast path cuts SDMA transfers into requests of at most \
+                 sdma_cap bytes and needs a positive cap"
+                    .into(),
+            );
+        }
         if self.engine.sharded() && !self.batch_fabric.incast() {
             return Err(format!(
                 "engine = Sharded requires batch_fabric = Incast, got {:?}: the sharded \
@@ -305,12 +293,7 @@ mod tests {
             ranks_per_node: 1,
         };
         let mut c = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
-        for mode in [
-            FabricMode::PerPacket,
-            FabricMode::Trains,
-            FabricMode::Flows,
-            FabricMode::Incast,
-        ] {
+        for mode in [FabricMode::PerPacket, FabricMode::Incast] {
             c.batch_fabric = mode;
             c.engine = EngineMode::SingleQueue;
             assert_eq!(c.validate(), Ok(()), "{mode:?}");
@@ -321,5 +304,19 @@ mod tests {
                 assert!(e.contains("requires batch_fabric = Incast"), "{e}");
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_zero_sdma_cap() {
+        let shape = JobShape {
+            nodes: 2,
+            ranks_per_node: 1,
+        };
+        let mut c = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
+        c.sdma_cap = 0;
+        let e = c.validate().expect_err("sdma_cap = 0 must be rejected");
+        assert!(e.contains("sdma_cap"), "{e}");
+        c.sdma_cap = 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 }

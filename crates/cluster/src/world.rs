@@ -62,16 +62,12 @@ enum Ev {
     /// event fires at the last member's IRQ finish (the only completion
     /// an in-order pipelined sender can act on).
     SdmaSentBatch { members: Vec<SentMember> },
-    /// Flow-mode reaper timer: close `flows[slot]` if its link has idled
-    /// past `flow_linger_ns`, else re-arm. Touches no rank state (pure
-    /// flow bookkeeping), so it is exempt from `node_pending` accounting
-    /// and commutes with train continuations.
-    FlowClose { slot: usize },
     /// Incast-mode reaper timer: close `sinks[slot]` (the destination
     /// node's merged flow) if *every* source link feeding it has idled
     /// past `flow_linger_ns`, else re-arm. One timer covers the whole
-    /// N-to-1 incast where flow mode arms N. Pure bookkeeping like
-    /// [`Ev::FlowClose`].
+    /// N-to-1 incast. Touches no rank state (pure sink bookkeeping), so
+    /// it is exempt from `node_pending` accounting and commutes with
+    /// train continuations.
     SinkClose { slot: usize },
 }
 
@@ -79,16 +75,13 @@ enum Ev {
 /// undeliverable remainder is handed back to.
 #[derive(Clone, Copy)]
 enum TrainSource {
-    /// A queued `Ev::PacketTrain` (or a soft one): the remainder is
-    /// re-emitted as a fresh train at its first arrival.
+    /// A soft `Ev::PacketTrain`: the remainder is re-emitted as a fresh
+    /// train at its first arrival.
     Event,
-    /// The pending members of `flows[i]`: the remainder goes back into
-    /// the slot (lazy resplit) and re-defers as its soft entry, so later
-    /// appends keep extending it in place.
-    Flow(usize),
     /// The pending members of `sinks[i]` (the destination node's merged
-    /// incast flow): the remainder goes back into the sink and re-defers
-    /// as its soft entry, exactly like a flow pause but per destination.
+    /// incast flow): the remainder goes back into the sink (lazy
+    /// resplit) and re-defers as its soft entry, so later appends keep
+    /// extending it in place.
     Sink(usize),
 }
 
@@ -134,12 +127,11 @@ struct PendingMember {
     completion: Option<(usize, u64, u32, u64, Ns)>,
 }
 
-/// A deferred delivery on the flow-mode *soft schedule*: flush products
-/// that the train mode would have queued as events, kept outside the
-/// queue and merged against it by `(at, seq)` — the seq is allocated
-/// from the queue's own counter, so executing the smaller key first
-/// reproduces the train-mode pop order exactly while the soft side costs
-/// zero `sim_events`.
+/// A deferred delivery on the *soft schedule*: flush products kept
+/// outside the queue and merged against it by `(at, seq)` — the seq is
+/// allocated from the queue's own counter, so executing the smaller key
+/// first gives the same pop order as queueing them would, while the soft
+/// side costs zero `sim_events`.
 struct SoftItem {
     at: Ns,
     seq: u64,
@@ -147,49 +139,20 @@ struct SoftItem {
 }
 
 enum SoftKind {
-    /// Deliver the pending members of `flows[i]`.
-    Flow(usize),
-    /// Deliver the pending members of `sinks[i]` (incast mode).
+    /// Deliver the pending members of `sinks[i]`.
     Sink(usize),
     /// Any other flush product (intra-node train, parked singleton,
     /// batched sender completions), dispatched exactly like the event.
     Ev(Ev),
 }
 
-/// A persistent per-link flow: the train accumulator of one
-/// `(src_node, dst_node)` link kept open across event dispatches.
-/// Successive flushes extend the fabric reservation
-/// ([`Fabric::extend_train`]) and append to `members`; delivery rides
-/// one soft-schedule entry that a lazy resplit re-defers at the first
-/// conflicting member. Slots are allocated once per link and never
-/// freed — `open` flips as flows close (linger, member cap, reaper) and
-/// successors reuse the slot.
-struct FlowSlot {
-    src: usize,
-    dst: usize,
-    /// Whether a flow is currently open on this link (stats identity).
-    open: bool,
-    /// Committed-but-undelivered members, in arrival order.
-    members: Vec<TrainPacket>,
-    /// Whether a `SoftKind::Flow` entry for `members` is on the soft
-    /// schedule (and has a matching `node_pending` entry).
-    pending: bool,
-    /// Members accumulated by the open flow so far (the
-    /// `extend_train` continuation length; resets when the flow closes).
-    len: u64,
-    /// Last append or delivery on this link, for linger decisions.
-    last_activity: Ns,
-    /// Whether an `Ev::FlowClose` reaper event is in the queue.
-    reaper_armed: bool,
-}
-
 /// The destination-rooted incast flow of one node (`sinks[dst_node]`):
-/// the merge of every source link's persistent flow into a single soft
-/// schedule over the node's downlink. Successive flushes from *any*
+/// the merge of every source link's bursts into a single soft schedule
+/// over the node's downlink, kept open across dispatches. Successive flushes from *any*
 /// source extend the shared fabric reservation
 /// ([`Fabric::extend_sink`]) and merge into `members` by
 /// `(arrival, seq)`; one soft entry, one `node_pending` mark, and one
-/// [`Ev::SinkClose`] reaper cover what flow mode pays per source link.
+/// [`Ev::SinkClose`] reaper cover every source link.
 /// Slots are allocated once per node and never freed; `open` flips as
 /// sinks close (linger, member cap, reaper) and successors reuse them.
 #[derive(Default)]
@@ -385,19 +348,18 @@ pub struct RunResult {
     /// and figure binaries that don't measure memory don't).
     pub peak_alloc_bytes: u64,
     /// Resident bytes of node-indexed engine state at collection,
-    /// summed across shards: fabric gate storage (dense own range plus
-    /// the sparse remote map) and the `node_pending` / sink-root
-    /// vectors. O(total_nodes) for the whole run under the sparse
+    /// summed across shards: fabric gate storage (the own node range)
+    /// and the `node_pending` / sink-root vectors. O(total_nodes) for the whole run under the sparse
     /// shard layout, O(shards × total_nodes) under
     /// [`ClusterConfig::dense_shard_state`] — the `simbench`
     /// shard-state gate holds the sparse layout ≥8× below dense at
     /// 4096 nodes / 64 shards.
     pub shard_state_bytes: u64,
-    /// Nodes whose fabric gate state was materialized, summed across
+    /// Nodes whose fabric gate state was allocated, summed across
     /// shards. Equals total nodes under the sparse layout (each shard
-    /// allocates exactly its own range and touches no remote gate) and
-    /// shards × total nodes under the dense one — the property tests'
-    /// no-remote-allocation witness.
+    /// allocates exactly its own range and panics on any remote gate)
+    /// and shards × total nodes under the dense one — the property
+    /// tests' no-remote-allocation witness.
     pub shard_gate_nodes: u64,
     /// MPI per-call time summed over all ranks.
     pub mpi_profile: TimeByKey<MpiCall>,
@@ -420,37 +382,25 @@ pub struct RunResult {
     pub fabric_max_train: u64,
     /// Train deliveries that stopped at a member the dispatch could not
     /// consume and *re-committed* the remainder as a fresh scheduler
-    /// item — a new train losing its accumulator. This is the resplit
-    /// work ROADMAP flagged on Qbox: every one pays a requeue and a
-    /// fresh dispatch. Flow suffixes that stay in their slot are counted
-    /// as [`fabric_flow_pauses`](Self::fabric_flow_pauses) instead.
+    /// item — a new train losing its accumulator, paying a fresh
+    /// dispatch. Sink suffixes that stay in their slot are counted as
+    /// [`fabric_sink_pauses`](Self::fabric_sink_pauses) instead.
     pub fabric_resplits: u64,
-    /// Flow deliveries that stopped at a conflicting member and
-    /// re-deferred the suffix *in place* as the flow's pending delivery
-    /// (the lazy resplit). Zero queue events each — the cheap cousin of
-    /// [`fabric_resplits`](Self::fabric_resplits).
-    pub fabric_flow_pauses: u64,
-    /// Persistent flows opened ([`FabricMode::Flows`] only).
-    pub fabric_flows: u64,
-    /// Members delivered through those flows.
-    pub fabric_flow_members: u64,
-    /// Longest flow (members accumulated by one flow before it closed).
-    pub fabric_max_flow: u64,
     /// Destination-rooted incast sinks opened ([`FabricMode::Incast`]
-    /// only): the per-node merged flows. An N-to-1 incast opens 1 where
-    /// flow mode opens N.
+    /// only): the per-node merged flows. An N-to-1 incast opens 1.
     pub fabric_sinks: u64,
     /// Members merged through those sinks.
     pub fabric_sink_members: u64,
     /// Longest sink (members merged by one sink before it closed).
     pub fabric_max_sink: u64,
     /// Sink deliveries that stopped at a conflicting member and
-    /// re-deferred the suffix in place — the per-sink lazy pause, the
-    /// incast cousin of [`fabric_flow_pauses`](Self::fabric_flow_pauses).
+    /// re-deferred the suffix *in place* as the sink's pending delivery
+    /// (the lazy resplit). Zero queue events each — the cheap cousin of
+    /// [`fabric_resplits`](Self::fabric_resplits).
     pub fabric_sink_pauses: u64,
     /// Deliveries executed on the zero-event soft schedule
-    /// ([`FabricMode::Flows`] / [`FabricMode::Incast`]): work that
-    /// [`FabricMode::Trains`] would have spent queue events on.
+    /// ([`FabricMode::Incast`] only): flush products that would
+    /// otherwise each have cost a queue event.
     pub soft_deliveries: u64,
     /// Order-independent digest of every fabric delivery schedule
     /// (`hash(arrival, dst, src, bytes)` summed commutatively at
@@ -461,11 +411,10 @@ pub struct RunResult {
     /// [`RunResult::arrival_digest`] restricted to bulk messages (>= 1
     /// KiB on the wire) — the incast gate's equality witness. Control
     /// messages (barrier/rendezvous handshakes, a few dozen bytes) ride
-    /// on rank run-ahead whose flush ordering both soft modes only
-    /// approximate, so their arrivals may differ between `Flows` and
-    /// `Incast` the same way they differ against the reference model;
-    /// data-plane arrivals go through the fabric gates alone and must
-    /// match bit-for-bit.
+    /// on rank run-ahead whose flush ordering `Incast` only
+    /// approximates, so their arrivals may differ against the reference
+    /// model; data-plane arrivals go through the fabric gates alone and
+    /// match it bit-for-bit wherever delivery is FIFO-exact.
     pub arrival_digest_bulk: u64,
     /// Scheduling-placement counters and page-span histogram of the
     /// timing wheel (see [`WheelProfile`]): which tier every schedule
@@ -521,12 +470,8 @@ struct HotCfg {
     pio_base: Ns,
     pio_bw: f64,
     copy_bw: f64,
-    /// Bursts coalesce at all (`Trains`, `Flows`, or `Incast`).
-    batch: bool,
-    /// Trains persist across dispatches and ride the soft schedule
-    /// (`Flows` or `Incast`).
-    soft: bool,
-    /// Per-link flows merge into destination-rooted sinks (`Incast`).
+    /// Bursts coalesce into destination-rooted sinks and ride the soft
+    /// schedule (`Incast`); off = the per-packet reference.
     incast: bool,
     /// Ranks per node: maps a (possibly remote) rank id to its node id
     /// without touching the rank vector — in sharded runs remote ranks
@@ -577,7 +522,7 @@ pub struct World {
     /// Per-link train accumulator: packets emitted during the current
     /// event dispatch, keyed `(src_node, dst_node)`, flushed to the
     /// fabric once per dispatch. Empty whenever the loop is between
-    /// dispatches (and always, when `batch_fabric` is off).
+    /// dispatches (and always, under the per-packet reference).
     pending_trains: Vec<(usize, usize, Vec<PendingMember>)>,
     /// Recycled member vectors for the accumulator.
     member_pool: Vec<Vec<PendingMember>>,
@@ -600,19 +545,16 @@ pub struct World {
     /// Pooled scratch listing the ranks greedily engaged by the train
     /// dispatch in flight (for the end-of-dispatch wake sweep).
     engaged_scratch: Vec<usize>,
-    /// Per-node multiset of pending event times (batching mode only).
+    /// Per-node multiset of pending event times (incast mode only).
     /// Every queued event runs ranks of exactly one node, so a train
     /// dispatch may run ahead of events that touch *other* nodes — their
     /// gates and inboxes are disjoint from the continuation's — but must
     /// yield to anything pending on the destination node itself. Soft
     /// schedule items are accounted here exactly like queued events.
     node_pending: Vec<std::collections::BTreeMap<Ns, u32>>,
-    /// Flow-mode soft schedule, sorted *descending* by `(at, seq)` so the
-    /// next item pops O(1) off the tail (same trick as the wheel's `cur`).
+    /// Soft schedule, sorted *descending* by `(at, seq)` so the next
+    /// item pops O(1) off the tail (same trick as the wheel's `cur`).
     soft: Vec<SoftItem>,
-    /// Persistent per-link flow slots, scanned linearly (a run touches a
-    /// handful of directed links).
-    flows: Vec<FlowSlot>,
     /// Destination-rooted incast sinks, one per node (`sinks[dst_node]`).
     sinks: Vec<SinkSlot>,
     /// Open-addressed `(src, dst) -> pending_trains bucket` index,
@@ -621,12 +563,6 @@ pub struct World {
     link_index: LinkIndex,
     /// Resplit counter behind [`RunResult::fabric_resplits`].
     resplits: u64,
-    /// Lazy-pause counter behind [`RunResult::fabric_flow_pauses`].
-    flow_pauses: u64,
-    /// Flow counters behind the `fabric_flow*` results.
-    flows_opened: u64,
-    flow_members_total: u64,
-    max_flow_len: u64,
     /// Sink counters behind the `fabric_sink*` results.
     sinks_opened: u64,
     sink_members_total: u64,
@@ -644,7 +580,7 @@ pub struct World {
     /// shard-local, merged once at collection (order-invariant), so no
     /// worker ever serializes on a shared stats sink.
     arrival_sketch: Sketch,
-    /// Soft-schedule dispatches (would-be events under `Trains`).
+    /// Soft-schedule dispatches (see [`RunResult::soft_deliveries`]).
     soft_deliveries: u64,
     /// Time of the dispatch in flight (== the popped item's timestamp;
     /// runs ahead of `queue.now()` during soft dispatches).
@@ -841,7 +777,7 @@ impl World {
             let skew = Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1)));
             rank.clock = skew;
             queue.schedule(skew, Ev::Wake(r));
-            if cfg.batch_fabric.batches() {
+            if cfg.batch_fabric.incast() {
                 *node_pending[rank.node].entry(skew).or_insert(0) += 1;
             }
             pending_wake.push(skew);
@@ -851,8 +787,6 @@ impl World {
             pio_base: cfg.pio_base,
             pio_bw: cfg.pio_bw,
             copy_bw: cfg.copy_bw,
-            batch: cfg.batch_fabric.batches(),
-            soft: cfg.batch_fabric.soft(),
             incast: cfg.batch_fabric.incast(),
             rpn: cfg.shape.ranks_per_node as usize,
         };
@@ -884,14 +818,9 @@ impl World {
             engaged_scratch: Vec::new(),
             node_pending,
             soft: Vec::new(),
-            flows: Vec::new(),
             sinks: (0..nnodes).map(|_| SinkSlot::default()).collect(),
             link_index: LinkIndex::new(),
             resplits: 0,
-            flow_pauses: 0,
-            flows_opened: 0,
-            flow_members_total: 0,
-            max_flow_len: 0,
             sinks_opened: 0,
             sink_members_total: 0,
             max_sink_len: 0,
@@ -1074,7 +1003,7 @@ impl World {
     /// event's dispatch can touch. Every variant runs ranks of exactly
     /// one node; anything it sends to other nodes becomes a *new*
     /// queued event, accounted on its own node when scheduled.
-    /// `None` for pure-bookkeeping events (`FlowClose`), which touch no
+    /// `None` for pure-bookkeeping events (`SinkClose`), which touch no
     /// rank state and commute with everything.
     fn ev_node(&self, ev: &Ev) -> Option<usize> {
         match ev {
@@ -1089,7 +1018,7 @@ impl World {
                 let r0 = members[0].rank;
                 Some(self.ranks[(r0) - self.rank_base].node)
             }
-            Ev::FlowClose { .. } | Ev::SinkClose { .. } => None,
+            Ev::SinkClose { .. } => None,
         }
     }
 
@@ -1128,9 +1057,9 @@ impl World {
     }
 
     /// Schedule an event, keeping the per-node pending-time multiset in
-    /// step (batching mode only — the reference path never consults it).
+    /// step (incast mode only — the reference path never consults it).
     fn schedule_ev(&mut self, at: Ns, ev: Ev) {
-        if self.hot.batch {
+        if self.hot.incast {
             if let Some(n) = self.ev_node(&ev) {
                 *self.node_pending[n - self.nstate_base]
                     .entry(at)
@@ -1155,11 +1084,10 @@ impl World {
     }
 
     /// Put a deferred delivery on the soft schedule, stamped with a seq
-    /// from the queue's counter (so it merges into the exact train-mode
-    /// pop order) and accounted in `node_pending` like a queued event.
+    /// from the queue's counter (so it merges into the exact queue pop
+    /// order) and accounted in `node_pending` like a queued event.
     fn push_soft(&mut self, at: Ns, kind: SoftKind) {
         let node = match &kind {
-            SoftKind::Flow(i) => Some(self.flows[*i].dst),
             // Sinks are indexed by destination node.
             SoftKind::Sink(i) => Some(*i),
             SoftKind::Ev(ev) => self.ev_node(ev),
@@ -1173,17 +1101,6 @@ impl World {
         let item = SoftItem { at, seq, kind };
         let pos = self.soft.partition_point(|s| (s.at, s.seq) > (at, seq));
         self.soft.insert(pos, item);
-    }
-
-    /// Emit a flush product: a queued event under `Trains` (and the
-    /// per-packet reference), a zero-event soft item under `Flows` /
-    /// `Incast`.
-    fn emit_ev(&mut self, at: Ns, ev: Ev) {
-        if self.hot.soft {
-            self.push_soft(at, SoftKind::Ev(ev));
-        } else {
-            self.schedule_ev(at, ev);
-        }
     }
 
     /// Run; optionally print stuck-rank diagnostics at exhaustion.
@@ -1219,8 +1136,8 @@ impl World {
         loop {
             // Merge the soft schedule with the queue by `(time, seq)`:
             // both sides draw seqs from one counter, so this pop order is
-            // bit-identical to train mode's — the soft side just doesn't
-            // pay queue events.
+            // the one queueing every item would give — the soft side just
+            // doesn't pay queue events.
             let take_soft = match (
                 self.soft.last().map(|s| (s.at, s.seq)),
                 self.queue.peek_key(),
@@ -1252,7 +1169,7 @@ impl World {
             } else {
                 let (t, ev) = self.queue.pop().expect("non-empty queue");
                 self.sim_now = t;
-                if self.hot.batch {
+                if self.hot.incast {
                     if let Some(n) = self.ev_node(&ev) {
                         self.node_pending_remove(n, t);
                     }
@@ -1260,8 +1177,8 @@ impl World {
                 self.dispatch_ev(t, ev);
             }
             // Coalesce everything the dispatch emitted into trains: one
-            // fabric reservation per link burst, delivered by one event
-            // (`Trains`) or by extending the link's open flow (`Flows`).
+            // fabric reservation per link burst, merged into the
+            // destination's sink (or one soft train for intra-node bursts).
             self.flush_trains();
         }
     }
@@ -1390,8 +1307,7 @@ impl World {
     /// early), its own shard-local fabric (a shard only advances its
     /// own nodes' uplinks at injection and downlinks at commit, so gate
     /// state never races — and the gate array covers only the own node
-    /// range, with remote endpoints materialized sparsely on first
-    /// touch), its own-range `node_pending` / sink-root vectors
+    /// range), its own-range `node_pending` / sink-root vectors
     /// (indexed `node - nstate_base`, the node analogue of the
     /// `g - rank_base` rank counters), and its own soft schedule.
     /// `cfg.dense_shard_state` restores the full-cluster sizing as the
@@ -1468,14 +1384,9 @@ impl World {
                 engaged_scratch: Vec::new(),
                 node_pending,
                 soft: Vec::new(),
-                flows: Vec::new(),
                 sinks: (0..nstate).map(|_| SinkSlot::default()).collect(),
                 link_index: LinkIndex::new(),
                 resplits: 0,
-                flow_pauses: 0,
-                flows_opened: 0,
-                flow_members_total: 0,
-                max_flow_len: 0,
                 sinks_opened: 0,
                 sink_members_total: 0,
                 max_sink_len: 0,
@@ -1514,23 +1425,6 @@ impl World {
     /// first, exactly like an event pop).
     fn dispatch_soft(&mut self, item: SoftItem) {
         match item.kind {
-            SoftKind::Flow(i) => {
-                self.node_pending_remove(self.flows[i].dst, item.at);
-                let members = std::mem::take(&mut self.flows[i].members);
-                self.flows[i].pending = false;
-                self.flows[i].last_activity = item.at;
-                self.on_packet_train(members, TrainSource::Flow(i));
-                // The reaper disarms instead of polling while a delivery
-                // is outstanding; now that `pending` cleared (or the
-                // train paused and will come back through here), restore
-                // the one armed timer the slot's linger close relies on.
-                let f = &self.flows[i];
-                if (f.open || f.pending) && !f.reaper_armed {
-                    let at = f.last_activity + self.cfg.flow_linger_ns;
-                    self.flows[i].reaper_armed = true;
-                    self.schedule_ev(at, Ev::FlowClose { slot: i });
-                }
-            }
             SoftKind::Sink(i) => {
                 self.node_pending_remove(i, item.at);
                 let si = i - self.nstate_base;
@@ -1538,6 +1432,10 @@ impl World {
                 self.sinks[si].pending = false;
                 self.sinks[si].last_activity = item.at;
                 self.on_packet_train(members, TrainSource::Sink(i));
+                // The reaper disarms instead of polling while a delivery
+                // is outstanding; now that `pending` cleared (or the
+                // train paused and will come back through here), restore
+                // the one armed timer the sink's linger close relies on.
                 let s = &self.sinks[si];
                 if (s.open || s.pending) && !s.reaper_armed {
                     let at = s.last_activity + self.cfg.flow_linger_ns;
@@ -1630,9 +1528,6 @@ impl World {
                         self.run_rank(m.rank, now);
                     }
                 }
-            }
-            Ev::FlowClose { slot } => {
-                self.on_flow_close(slot, t);
             }
             Ev::SinkClose { slot } => {
                 self.on_sink_close(slot, t);
@@ -1756,9 +1651,10 @@ impl World {
     }
 
     /// Turn everything the last event dispatch emitted into trains: one
-    /// `Fabric::transfer_train` reservation and one delivery event per
-    /// `(src_node, dst_node)` burst (members in accumulation order, the
-    /// same order the per-packet path would have reserved the link in).
+    /// fabric reservation per `(src_node, dst_node)` burst, merged into
+    /// the destination's sink or delivered as one soft item (members in
+    /// accumulation order, the same order the per-packet path would have
+    /// reserved the link in).
     fn flush_trains(&mut self) {
         if self.pending_trains.is_empty() {
             return;
@@ -1817,20 +1713,18 @@ impl World {
                 );
                 j += 1;
             }
-            if j - i == 1 {
-                self.emit_ev(
-                    at,
-                    Ev::SdmaSent {
-                        rank: first.rank,
-                        msg_id: first.msg_id,
-                        window: first.window,
-                        va: first.va,
-                    },
-                );
+            let ev = if j - i == 1 {
+                Ev::SdmaSent {
+                    rank: first.rank,
+                    msg_id: first.msg_id,
+                    window: first.window,
+                    va: first.va,
+                }
             } else {
                 let group: Vec<SentMember> = sent[i..j].iter().map(|&(.., m)| m).collect();
-                self.emit_ev(at, Ev::SdmaSentBatch { members: group });
-            }
+                Ev::SdmaSentBatch { members: group }
+            };
+            self.push_soft(at, SoftKind::Ev(ev));
             i = j;
         }
         sent.clear();
@@ -1873,21 +1767,18 @@ impl World {
         dst_node: usize,
         members: &mut Vec<PendingMember>,
     ) {
-        // Soft modes, inter-node link: the burst extends the link's
-        // persistent flow (or the destination's merged sink) instead of
-        // becoming its own train. Intra-node (shared-memory) arrivals are
-        // not monotone across dispatches, so those bursts stay per-flush
-        // trains — on the soft schedule.
-        if self.hot.soft && src_node != dst_node {
+        // Inter-node link: the burst extends the destination's merged
+        // sink instead of becoming its own train. Intra-node
+        // (shared-memory) arrivals are not monotone across dispatches, so
+        // those bursts stay per-flush trains — on the soft schedule.
+        if src_node != dst_node {
             if self.sharded {
                 // Sharded engine: the destination sink lives on another
                 // shard (or must be committed in global order even when
                 // it doesn't) — run the source half here, ship the rest.
                 self.sink_defer(src_node, dst_node, members);
-            } else if self.hot.incast {
-                self.sink_append(src_node, dst_node, members);
             } else {
-                self.flow_append(src_node, dst_node, members);
+                self.sink_append(src_node, dst_node, members);
             }
             return;
         }
@@ -1923,17 +1814,17 @@ impl World {
                 ));
             }
         }
-        // Deliver: a singleton burst stays a plain packet event; a real
-        // train becomes one event at its first arrival.
+        // Deliver: a singleton burst stays a plain packet; a real train
+        // becomes one delivery at its first arrival.
         if members.len() == 1 {
             let m = members.pop().expect("one member");
-            self.emit_ev(
+            self.push_soft(
                 scheds[0].arrival,
-                Ev::Packet {
+                SoftKind::Ev(Ev::Packet {
                     dst: m.dst,
                     src: m.src,
                     packet: m.packet,
-                },
+                }),
             );
         } else {
             let mut packets: Vec<TrainPacket> = members
@@ -1952,156 +1843,12 @@ impl World {
             // delivery in time order (stable, so ties keep link order).
             packets.sort_by_key(|p| p.arrival);
             let first = packets[0].arrival;
-            self.emit_ev(first, Ev::PacketTrain { members: packets });
+            self.push_soft(first, SoftKind::Ev(Ev::PacketTrain { members: packets }));
         }
         fm.clear();
         self.fabric_member_scratch = fm;
         scheds.clear();
         self.sched_scratch = scheds;
-    }
-
-    /// Find (or allocate) the persistent flow slot of a directed link.
-    /// Linear scan: a run touches a handful of inter-node links.
-    fn flow_slot(&mut self, src: usize, dst: usize) -> usize {
-        if let Some(i) = self.flows.iter().position(|f| f.src == src && f.dst == dst) {
-            return i;
-        }
-        self.flows.push(FlowSlot {
-            src,
-            dst,
-            open: false,
-            members: Vec::new(),
-            pending: false,
-            len: 0,
-            last_activity: Ns::ZERO,
-            reaper_armed: false,
-        });
-        self.flows.len() - 1
-    }
-
-    /// Finalize the open flow in `slot` (stats identity only: undelivered
-    /// members stay in place and a successor reuses the slot).
-    fn close_flow(&mut self, idx: usize) {
-        if self.flows[idx].open {
-            self.max_flow_len = self.max_flow_len.max(self.flows[idx].len);
-            self.flows[idx].open = false;
-            self.flows[idx].len = 0;
-        }
-    }
-
-    /// Append one flush's burst to its link's persistent flow: extend the
-    /// fabric reservation from where the previous commit left the gates
-    /// (so the analytic spread continues exactly as one longer train),
-    /// collect sender completions, and make sure one soft delivery entry
-    /// and one reaper timer cover the slot.
-    fn flow_append(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
-        let now = self.sim_now;
-        let linger = self.cfg.flow_linger_ns;
-        let idx = self.flow_slot(src_node, dst_node);
-        // Lazy close: the link idled past the linger, or this burst would
-        // breach the member cap — finalize the flow, open a successor.
-        if self.flows[idx].open {
-            let f = &self.flows[idx];
-            let idled = !f.pending && now > f.last_activity + linger;
-            let capped = f.len as usize + members.len() > self.cfg.flow_member_cap;
-            if idled || capped {
-                self.close_flow(idx);
-            }
-        }
-        if !self.flows[idx].open {
-            self.flows[idx].open = true;
-            self.flows_opened += 1;
-        }
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
-        let mut scheds = std::mem::take(&mut self.sched_scratch);
-        scheds.clear();
-        let prior = self.flows[idx].len;
-        self.fabric
-            .extend_train(src_node, dst_node, &fm, prior, &mut scheds);
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    sched.injected + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
-        let n = members.len() as u64;
-        for (m, s) in members.drain(..).zip(scheds.iter()) {
-            // Link FIFO makes arrivals monotone in commit order, even
-            // across a resplit pushback — appends keep `members` sorted.
-            debug_assert!(
-                self.flows[idx]
-                    .members
-                    .last()
-                    .is_none_or(|p| p.arrival <= s.arrival),
-                "flow arrivals must stay monotone across appends"
-            );
-            self.flows[idx].members.push(TrainPacket {
-                arrival: s.arrival,
-                seq: m.seq,
-                dst: m.dst,
-                src: m.src,
-                packet: m.packet,
-            });
-        }
-        self.flows[idx].len += n;
-        self.flow_members_total += n;
-        self.max_flow_len = self.max_flow_len.max(self.flows[idx].len);
-        self.flows[idx].last_activity = now;
-        if !self.flows[idx].pending {
-            let at = self.flows[idx].members[0].arrival;
-            self.flows[idx].pending = true;
-            self.push_soft(at, SoftKind::Flow(idx));
-        }
-        if !self.flows[idx].reaper_armed {
-            self.flows[idx].reaper_armed = true;
-            self.schedule_ev(now + linger, Ev::FlowClose { slot: idx });
-        }
-        fm.clear();
-        self.fabric_member_scratch = fm;
-        scheds.clear();
-        self.sched_scratch = scheds;
-    }
-
-    /// The `Ev::FlowClose` reaper, fired at `t`: close the slot's flow if
-    /// its link has idled past the linger; re-arm while it is active (or
-    /// has a delivery outstanding); disarm for good once the flow is
-    /// closed, so an idle link costs no further events.
-    fn on_flow_close(&mut self, slot: usize, t: Ns) {
-        let linger = self.cfg.flow_linger_ns;
-        let f = &self.flows[slot];
-        let (pending, last, open) = (f.pending, f.last_activity, f.open);
-        if pending {
-            // An outstanding delivery blocks the close, and its dispatch
-            // re-arms the timer once `pending` clears — disarm rather
-            // than poll every linger until then. (Launch-skew deferrals
-            // hold `pending` for whole milliseconds; polling them used
-            // to dominate the queue-event count.)
-            self.flows[slot].reaper_armed = false;
-            return;
-        }
-        if open && t < last + linger {
-            self.schedule_ev(last + linger, Ev::FlowClose { slot });
-            return;
-        }
-        self.flows[slot].reaper_armed = false;
-        self.close_flow(slot);
     }
 
     /// Finalize the open sink of node `idx` (stats identity only:
@@ -2117,16 +1864,17 @@ impl World {
     }
 
     /// Merge one flush's burst from `src_node` into `dst_node`'s
-    /// destination-rooted sink — the incast counterpart of
-    /// [`flow_append`](Self::flow_append). The fabric side
-    /// ([`Fabric::extend_sink`]) advances the source's uplink gate and
-    /// commits the shared downlink once, continuing the sink's cumulative
-    /// reservation, so arrivals are bit-identical to what per-link flows
-    /// would compute. The world side differs from flows in one place:
-    /// cross-source arrivals are not monotone in commit order, so new
-    /// members *merge* into the pending vector by `(arrival, seq)` and
-    /// the sink's single soft entry is re-keyed when the merge introduces
-    /// an earlier head.
+    /// destination-rooted sink: extend the fabric reservation from where
+    /// the previous commit left the gates, collect sender completions,
+    /// and make sure one soft delivery entry and one reaper timer cover
+    /// the sink. The fabric side ([`Fabric::extend_sink`]) advances the
+    /// source's uplink gate and commits the shared downlink once,
+    /// continuing the sink's cumulative reservation, so arrivals are
+    /// bit-identical to per-packet transfers committed in the same
+    /// order. Cross-source arrivals are not monotone in commit order, so
+    /// new members *merge* into the pending vector by `(arrival, seq)`
+    /// and the sink's single soft entry is re-keyed when the merge
+    /// introduces an earlier head.
     fn sink_append(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
         let now = self.sim_now;
         let linger = self.cfg.flow_linger_ns;
@@ -2393,17 +2141,21 @@ impl World {
         self.sched_scratch = scheds;
     }
 
-    /// The `Ev::SinkClose` reaper, fired at `t`: the per-sink analogue of
-    /// [`on_flow_close`](Self::on_flow_close) — one timer for the whole
-    /// incast instead of one per source link.
+    /// The `Ev::SinkClose` reaper, fired at `t`: close the sink if every
+    /// source feeding it has idled past the linger; re-arm while it is
+    /// active; disarm for good once the sink is closed, so an idle node
+    /// costs no further events. One timer covers the whole incast.
     fn on_sink_close(&mut self, slot: usize, t: Ns) {
         let linger = self.cfg.flow_linger_ns;
         let si = slot - self.nstate_base;
         let s = &self.sinks[si];
         let (pending, last, open) = (s.pending, s.last_activity, s.open);
         if pending {
-            // Same disarm-while-pending rule as [`on_flow_close`]: the
-            // sink's delivery dispatch re-arms the timer.
+            // An outstanding delivery blocks the close, and its dispatch
+            // re-arms the timer once `pending` clears — disarm rather
+            // than poll every linger until then. (Launch-skew deferrals
+            // hold `pending` for whole milliseconds; polling them used
+            // to dominate the queue-event count.)
             self.sinks[si].reaper_armed = false;
             return;
         }
@@ -2427,8 +2179,8 @@ impl World {
     /// * a future arrival for a rank the dispatch has not engaged (or
     ///   one that would outrun a parked rank's pending wake) must not
     ///   be delivered early or out of order: the remainder of the train
-    ///   is handed back — to the queue / soft schedule for an event
-    ///   train, or into the flow slot (lazy resplit) for a flow.
+    ///   is handed back — to the soft schedule for a plain train, or
+    ///   into the sink slot (lazy resplit) for a sink.
     fn on_packet_train(&mut self, members: Vec<TrainPacket>, source: TrainSource) {
         self.train_epoch += 1;
         let epoch = self.train_epoch;
@@ -2506,29 +2258,18 @@ impl World {
             // rank's pending wake: the delivered prefix stays consumed
             // and the remainder is handed back at its arrival. How the
             // remainder goes back is what the resplit accounting splits:
-            // a train *re-commits* it as a fresh scheduler item (a
-            // requeue plus a fresh dispatch — the resplit work ROADMAP
-            // flagged on Qbox), while a flow's suffix stays in its slot
-            // and merely re-defers the soft entry (a lazy pause, zero
-            // queue events, accumulator preserved).
+            // a plain train *re-commits* it as a fresh scheduler item (a
+            // fresh dispatch), while a sink's suffix stays in its slot and
+            // merely re-defers the soft entry (a lazy pause, accumulator
+            // preserved).
             let rest: Vec<TrainPacket> = std::iter::once(m).chain(it).collect();
             let at = rest[0].arrival;
             match source {
-                TrainSource::Flow(i) => {
-                    // Lazy resplit: only the suffix after the conflict is
-                    // split off — it goes back into the slot as the
-                    // flow's pending members and re-defers as its soft
-                    // entry; later appends extend it in place.
-                    self.flow_pauses += 1;
-                    debug_assert!(self.flows[i].members.is_empty());
-                    self.flows[i].members = rest;
-                    self.flows[i].pending = true;
-                    self.push_soft(at, SoftKind::Flow(i));
-                }
                 TrainSource::Sink(i) => {
-                    // Per-sink lazy pause: the suffix (members from every
-                    // source, still merged) goes back into the sink and
-                    // re-defers as its single soft entry.
+                    // Lazy resplit: only the suffix after the conflict
+                    // (members from every source, still merged) goes back
+                    // into the sink and re-defers as its single soft
+                    // entry; later appends extend it in place.
                     self.sink_pauses += 1;
                     let si = i - self.nstate_base;
                     debug_assert!(self.sinks[si].members.is_empty());
@@ -2540,18 +2281,18 @@ impl World {
                 TrainSource::Event if rest.len() == 1 => {
                     self.resplits += 1;
                     let p = rest.into_iter().next().expect("one member");
-                    self.emit_ev(
+                    self.push_soft(
                         at,
-                        Ev::Packet {
+                        SoftKind::Ev(Ev::Packet {
                             dst: p.dst,
                             src: p.src,
                             packet: p.packet,
-                        },
+                        }),
                     );
                 }
                 TrainSource::Event => {
                     self.resplits += 1;
-                    self.emit_ev(at, Ev::PacketTrain { members: rest });
+                    self.push_soft(at, SoftKind::Ev(Ev::PacketTrain { members: rest }));
                 }
             }
             break;
@@ -2589,7 +2330,7 @@ impl World {
                 let nreqs = bytes.div_ceil(8 * 1024).max(1);
                 self.nodes[(src_node) - self.node_base].chip.record_pio();
                 let src = self.ranks[(r) - self.rank_base].engine.rank();
-                if self.hot.batch {
+                if self.hot.incast {
                     self.enqueue_member(
                         src_node,
                         dst_node,
@@ -2867,7 +2608,7 @@ impl World {
             .costs()
             .completion
             + self.lc.kmalloc_pair;
-        if self.hot.batch {
+        if self.hot.incast {
             // Pipelined windows of one flush ride the wire as a train;
             // the IRQ is serviced (and the delegator charged) when the
             // train's fabric schedule is known, at flush time.
@@ -3280,8 +3021,7 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
     let mut pio = 0;
     let (mut bytes, mut messages, mut trains, mut train_members, mut max_train) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    let (mut resplits, mut flow_pauses, mut flows_opened, mut flow_members, mut max_flow) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut resplits = 0u64;
     let (mut sinks_opened, mut sink_members, mut max_sink, mut sink_pauses) =
         (0u64, 0u64, 0u64, 0u64);
     let mut soft_deliveries = 0u64;
@@ -3347,19 +3087,9 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
         train_members += w.fabric.train_members();
         max_train = max_train.max(w.fabric.max_train_len());
         resplits += w.resplits;
-        flow_pauses += w.flow_pauses;
-        flows_opened += w.flows_opened;
-        flow_members += w.flow_members_total;
-        // Flows/sinks still open at exhaustion never saw their close.
-        let mut mf = w.max_flow_len;
-        for f in &w.flows {
-            if f.open {
-                mf = mf.max(f.len);
-            }
-        }
-        max_flow = max_flow.max(mf);
         sinks_opened += w.sinks_opened;
         sink_members += w.sink_members_total;
+        // Sinks still open at exhaustion never saw their close.
         let mut ms = w.max_sink_len;
         for s in &w.sinks {
             if s.open {
@@ -3393,10 +3123,6 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
         fabric_train_members: train_members,
         fabric_max_train: max_train,
         fabric_resplits: resplits,
-        fabric_flow_pauses: flow_pauses,
-        fabric_flows: flows_opened,
-        fabric_flow_members: flow_members,
-        fabric_max_flow: max_flow,
         fabric_sinks: sinks_opened,
         fabric_sink_members: sink_members,
         fabric_max_sink: max_sink,

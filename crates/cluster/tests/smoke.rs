@@ -166,9 +166,9 @@ fn backed_run_delivers_payloads() {
 
 /// A 4 MB rendezvous ping-pong drives 8-window SDMA bursts through the
 /// train path while the receiver is busy copying earlier windows: later
-/// members park behind the copy and drain at one coalesced wake. Both
-/// coalescing modes must agree with the per-packet reference exactly
-/// while spending far fewer events — and flows fewer still than trains.
+/// members park behind the copy and drain at one coalesced wake. The
+/// coalescing mode must agree with the per-packet reference exactly
+/// while spending far fewer events.
 #[test]
 fn train_parks_members_behind_busy_rank() {
     for os in OsConfig::ALL {
@@ -176,19 +176,15 @@ fn train_parks_members_behind_busy_rank() {
             bytes: 4 << 20,
             reps: 8,
         };
-        let mut trains = paper_config(os, app, 2, Some(1));
-        trains.batch_fabric = FabricMode::Trains;
-        let mut off = trains.clone();
+        let mut sinks = paper_config(os, app, 2, Some(1));
+        sinks.batch_fabric = FabricMode::Incast;
+        let mut off = sinks.clone();
         off.batch_fabric = FabricMode::PerPacket;
-        let mut flows = trains.clone();
-        flows.batch_fabric = FabricMode::Flows;
-        let ron = run_app(trains, app, 1);
+        let ron = run_app(sinks, app, 1);
         let roff = run_app(off, app, 1);
-        let rflow = run_app(flows, app, 1);
         assert_eq!(ron.ranks_done, 2, "{os:?}");
         assert_eq!(ron.clamped_events, 0, "{os:?}");
         assert_eq!(roff.clamped_events, 0, "{os:?}");
-        assert_eq!(rflow.clamped_events, 0, "{os:?}");
         assert!(
             ron.fabric_trains > 0 && ron.fabric_max_train >= 4,
             "{os:?}: rendezvous windows must coalesce into trains (got {} trains, max {})",
@@ -201,80 +197,28 @@ fn train_parks_members_behind_busy_rank() {
         );
         assert_eq!(
             ron.wall_time, roff.wall_time,
-            "{os:?}: parking and wake coalescing under trains must match the reference"
-        );
-        assert_eq!(
-            rflow.wall_time, roff.wall_time,
-            "{os:?}: persistent flows must match the reference"
+            "{os:?}: parking and wake coalescing under sinks must match the reference"
         );
         assert_eq!(ron.delivered_payloads, roff.delivered_payloads, "{os:?}");
-        assert_eq!(rflow.delivered_payloads, roff.delivered_payloads, "{os:?}");
         assert!(
             ron.sim_events < roff.sim_events,
-            "{os:?}: trains must reduce event count ({} vs {})",
+            "{os:?}: coalescing must reduce event count ({} vs {})",
             ron.sim_events,
             roff.sim_events
         );
         assert!(
-            rflow.sim_events < ron.sim_events,
-            "{os:?}: flows must beat trains ({} vs {})",
-            rflow.sim_events,
-            ron.sim_events
-        );
-        assert!(
-            rflow.fabric_flows > 0 && rflow.soft_deliveries > 0,
-            "{os:?}: the flow run must exercise the soft schedule ({} flows, {} soft)",
-            rflow.fabric_flows,
-            rflow.soft_deliveries
+            ron.fabric_sinks > 0 && ron.soft_deliveries > 0,
+            "{os:?}: the run must exercise the soft schedule ({} sinks, {} soft)",
+            ron.fabric_sinks,
+            ron.soft_deliveries
         );
     }
 }
 
 /// Backed (payload-carrying) runs of every CORAL skeleton through the
-/// persistent-flow path: every byte must survive appended, resplit, and
-/// soft-scheduled delivery.
-#[test]
-fn backed_coral_payloads_survive_flows() {
-    for app in [
-        App::Umt2013,
-        App::Lammps,
-        App::Nekbone,
-        App::Hacc,
-        App::Qbox,
-    ] {
-        let mut cfg = paper_config(OsConfig::McKernelHfi, app, 2, Some(2));
-        cfg.backed = true;
-        cfg.batch_fabric = FabricMode::Flows;
-        let res = run_app(cfg, app, 2);
-        assert_eq!(res.ranks_done, 4, "{}", app.name());
-        assert_eq!(res.clamped_events, 0, "{}", app.name());
-        // Qbox's skeleton is munmap/compute dominated and carries no
-        // payload-bearing point-to-point traffic at this scale (all
-        // modes, including the per-packet reference, deliver zero).
-        if app != App::Qbox {
-            assert!(
-                res.delivered_payloads > 0,
-                "{}: payloads must flow end to end",
-                app.name()
-            );
-        }
-        assert_eq!(
-            res.payload_errors,
-            0,
-            "{}: flow delivery must not corrupt or reorder payload bytes",
-            app.name()
-        );
-        assert!(
-            res.fabric_flows > 0,
-            "{}: the run must exercise the flow path",
-            app.name()
-        );
-    }
-}
-
-/// The same payload-integrity sweep through the destination-rooted
-/// sink path (`FabricMode::Incast`, the paper default): merged
-/// multi-source delivery must not corrupt, reorder, or drop a byte.
+/// destination-rooted sink path (`FabricMode::Incast`, the paper
+/// default): every byte must survive appended, merged, paused, and
+/// soft-scheduled multi-source delivery.
 #[test]
 fn backed_coral_payloads_survive_incast() {
     for app in [
@@ -290,7 +234,9 @@ fn backed_coral_payloads_survive_incast() {
         let res = run_app(cfg, app, 2);
         assert_eq!(res.ranks_done, 4, "{}", app.name());
         assert_eq!(res.clamped_events, 0, "{}", app.name());
-        // Same Qbox caveat as the flows variant above.
+        // Qbox's skeleton is munmap/compute dominated and carries no
+        // payload-bearing point-to-point traffic at this scale (the
+        // per-packet reference delivers zero too).
         if app != App::Qbox {
             assert!(
                 res.delivered_payloads > 0,
@@ -343,8 +289,9 @@ fn determinism_same_seed_same_result() {
     assert_eq!(a.clamped_events, 0);
 }
 
-/// A sharded run over per-link flows cannot run as configured: world
-/// construction refuses it instead of falling back to the single queue.
+/// A sharded run over the per-packet reference cannot run as configured:
+/// world construction refuses it instead of falling back to the single
+/// queue.
 #[test]
 #[should_panic(expected = "engine = Sharded requires batch_fabric = Incast")]
 fn sharded_engine_without_sinks_is_rejected() {
@@ -354,6 +301,6 @@ fn sharded_engine_without_sinks_is_rejected() {
     };
     let mut cfg = paper_config(OsConfig::McKernelHfi, app, 2, Some(1));
     cfg.engine = EngineMode::Sharded;
-    cfg.batch_fabric = FabricMode::Flows;
+    cfg.batch_fabric = FabricMode::PerPacket;
     run_app(cfg, app, 1);
 }

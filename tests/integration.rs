@@ -291,3 +291,58 @@ fn incast_digests_pinned() {
         );
     }
 }
+
+/// The bipartite fan-ins of the `simbench` incast gate, pinned to golden
+/// digests: the classic 7-to-1 at 8 nodes and nine superimposed 9-to-1
+/// fan-ins at 18 nodes (linger 4 ms). The bulk digest hashes every
+/// ≥1 KiB wire arrival, so it is the world-level witness that the
+/// destination-rooted sink merge stays FIFO-exact. The values were
+/// captured at commit dc9afe2, where the gate still proved both bulk
+/// digests equal to the per-link flow model. On the 8-node fan-in the
+/// bulk digest also equals the per-packet reference (`simbench` gates
+/// that); on the 18-node incast it differs from the reference, as the
+/// per-link flow and per-flush train models did.
+#[test]
+fn fanin_digests_pinned() {
+    let bytes = 8 * 1024;
+    let golden = [
+        (
+            App::Incast {
+                bytes,
+                reps: 256,
+                roots: 1,
+            },
+            8,
+            None,
+            0xfc29_96e5_8ac0_3b15,
+            0x266d_8c27_9299_a00d,
+            0x80d6_b772_ea27_a371,
+        ),
+        (
+            App::Incast {
+                bytes,
+                reps: 64,
+                roots: 9,
+            },
+            18,
+            Some(pico_sim::Ns::micros(4000)),
+            0xb7ab_c6b3_270d_fae9,
+            0x8eac_3c89_a2ce_cb93,
+            0xa4e2_34e1_01de_cefd,
+        ),
+    ];
+    for (app, nodes, linger, finish, arrival, bulk) in golden {
+        let mut cfg = paper_config(OsConfig::McKernelHfi, app, nodes, Some(1));
+        if let Some(lg) = linger {
+            cfg.flow_linger_ns = lg;
+        }
+        let r = run_app(cfg, app, 1);
+        assert_eq!(r.ranks_done, nodes, "{nodes} nodes");
+        assert_eq!(r.clamped_events, 0, "{nodes} nodes");
+        assert_eq!(
+            (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
+            (finish, arrival, bulk),
+            "{nodes} nodes"
+        );
+    }
+}

@@ -281,15 +281,14 @@ fn wheel_pops_heap_sequence() {
     }
 }
 
-/// Packet trains, persistent flows, and destination-rooted sinks are
-/// pure event-count optimizations: every coalescing mode must produce
-/// the same physics as the per-packet reference model. Wall time must
-/// match within the documented tolerance (DESIGN.md "Packet trains" /
-/// "Fabric flows": 0.1% on these configs; coalesced delivery can
-/// reorder library entry against unrelated events, so bit-equality is
-/// not guaranteed for every workload), and the conserved quantities —
-/// ranks finished, payloads delivered, fabric bytes/messages — must be
-/// exactly equal.
+/// Packet trains merged into destination-rooted sinks are a pure
+/// event-count optimization: the coalescing mode must produce the same
+/// physics as the per-packet reference model. Wall time must match
+/// within the documented tolerance (DESIGN.md "Fabric coalescing": 0.1%
+/// on these configs; coalesced delivery can reorder library entry
+/// against unrelated events, so bit-equality is not guaranteed for every
+/// workload), and the conserved quantities — ranks finished, payloads
+/// delivered, fabric bytes/messages — must be exactly equal.
 #[test]
 fn packet_trains_match_per_packet_reference() {
     use pico_apps::{App, JobShape};
@@ -344,65 +343,56 @@ fn packet_trains_match_per_packet_reference() {
             };
             let mut cfg = ClusterConfig::paper(os, shape);
             cfg.seed = seed;
-            cfg.batch_fabric = FabricMode::Trains;
+            cfg.batch_fabric = FabricMode::Incast;
             // Exact per-rank vectors ride along so every run below also
             // witnesses FinishSketch ≡ record_per_rank on min/max/sum.
             cfg.record_per_rank = true;
             let mut unbatched = cfg.clone();
             unbatched.batch_fabric = FabricMode::PerPacket;
-            let mut flowed = cfg.clone();
-            flowed.batch_fabric = FabricMode::Flows;
-            let mut sunk = cfg.clone();
-            sunk.batch_fabric = FabricMode::Incast;
             let off = World::new(unbatched, app, iters).run();
-            for (mode, res) in [
-                ("trains", World::new(cfg, app, iters).run()),
-                ("flows", World::new(flowed, app, iters).run()),
-                ("incast", World::new(sunk, app, iters).run()),
-            ] {
-                let label = format!("case {case} {:?} {} [{mode}]", app, os.label());
-                // The streaming sketch must agree *exactly* with the
-                // recorded vector on its exact fields, for every app ×
-                // OS × fabric mode in the equivalence mix.
-                assert_eq!(res.finish.count(), res.rank_finish.len() as u64, "{label}");
-                assert_eq!(
-                    res.finish.sum(),
-                    res.rank_finish.iter().map(|t| t.0).sum::<u64>(),
-                    "{label}"
-                );
-                assert_eq!(
-                    res.finish.min(),
-                    res.rank_finish.iter().map(|t| t.0).min(),
-                    "{label}"
-                );
-                assert_eq!(
-                    res.finish.max(),
-                    res.rank_finish.iter().map(|t| t.0).max(),
-                    "{label}"
-                );
-                assert_eq!(res.wall_time.0, res.finish.max().unwrap(), "{label}");
-                assert_eq!(res.ranks_done, off.ranks_done, "{label}");
-                assert_eq!(res.delivered_payloads, off.delivered_payloads, "{label}");
-                assert_eq!(res.fabric_bytes, off.fabric_bytes, "{label}");
-                assert_eq!(res.fabric_messages, off.fabric_messages, "{label}");
-                assert_eq!(res.clamped_events, 0, "{label}");
-                assert_eq!(off.clamped_events, 0, "{label}");
-                let dev = (res.wall_time.0 as f64 - off.wall_time.0 as f64).abs()
-                    / off.wall_time.0.max(1) as f64;
-                assert!(
-                    dev <= 0.001,
-                    "{label}: wall {} (coalesced) vs {} (reference), deviation {:.4}%",
-                    res.wall_time,
-                    off.wall_time,
-                    dev * 100.0
-                );
-                assert!(
-                    res.sim_events <= off.sim_events,
-                    "{label}: batching must not add events ({} vs {})",
-                    res.sim_events,
-                    off.sim_events
-                );
-            }
+            let res = World::new(cfg, app, iters).run();
+            let label = format!("case {case} {:?} {}", app, os.label());
+            // The streaming sketch must agree *exactly* with the recorded
+            // vector on its exact fields, for every app × OS config in
+            // the equivalence mix.
+            assert_eq!(res.finish.count(), res.rank_finish.len() as u64, "{label}");
+            assert_eq!(
+                res.finish.sum(),
+                res.rank_finish.iter().map(|t| t.0).sum::<u64>(),
+                "{label}"
+            );
+            assert_eq!(
+                res.finish.min(),
+                res.rank_finish.iter().map(|t| t.0).min(),
+                "{label}"
+            );
+            assert_eq!(
+                res.finish.max(),
+                res.rank_finish.iter().map(|t| t.0).max(),
+                "{label}"
+            );
+            assert_eq!(res.wall_time.0, res.finish.max().unwrap(), "{label}");
+            assert_eq!(res.ranks_done, off.ranks_done, "{label}");
+            assert_eq!(res.delivered_payloads, off.delivered_payloads, "{label}");
+            assert_eq!(res.fabric_bytes, off.fabric_bytes, "{label}");
+            assert_eq!(res.fabric_messages, off.fabric_messages, "{label}");
+            assert_eq!(res.clamped_events, 0, "{label}");
+            assert_eq!(off.clamped_events, 0, "{label}");
+            let dev = (res.wall_time.0 as f64 - off.wall_time.0 as f64).abs()
+                / off.wall_time.0.max(1) as f64;
+            assert!(
+                dev <= 0.001,
+                "{label}: wall {} (coalesced) vs {} (reference), deviation {:.4}%",
+                res.wall_time,
+                off.wall_time,
+                dev * 100.0
+            );
+            assert!(
+                res.sim_events <= off.sim_events,
+                "{label}: batching must not add events ({} vs {})",
+                res.sim_events,
+                off.sim_events
+            );
         }
     }
 }
@@ -829,13 +819,13 @@ fn sketch_quantile_error_bound() {
 /// and OS configs as the engine equivalence test, at 1/2/4/8 workers.
 ///
 /// The sparse layout sizes each shard's fabric gates, `node_pending`
-/// maps and sink roots to the shard's own node range (remote gate
-/// state created on first touch); the dense layout preallocates all of
-/// them for the whole cluster in every shard. A fresh bandwidth gate
-/// is bit-identical to a preallocated untouched one, so the two must
-/// agree on *every* engine counter — and the gate-state observables
-/// must show the sparse layout allocating exactly the cluster's nodes
-/// once in total, versus shards × nodes under the dense layout.
+/// maps and sink roots to the shard's own node range (a remote gate
+/// touch panics); the dense layout preallocates all of them for the
+/// whole cluster in every shard. A shard never moves another shard's
+/// gates, so the two must agree on *every* engine counter — and the
+/// gate-state observables must show the sparse layout allocating
+/// exactly the cluster's nodes once in total, versus shards × nodes
+/// under the dense layout.
 #[test]
 fn sparse_shard_state_matches_dense_layout() {
     use pico_apps::{App, JobShape};
