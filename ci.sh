@@ -5,15 +5,17 @@
 #   ./ci.sh          tier-1 (release build + full test suite) + the
 #                    benchmark self-test + clippy (workspace and benchmark
 #                    crate) + fmt check + the reduced simbench smoke gate
-#                    (wheel ≥2× heap; Incast against the per-packet
+#                    (wheel ≥2× heap in the best of 3 interleaved
+#                    wheel/heap rounds; Incast against the per-packet
 #                    reference: ping-pong ≥20× fewer events, Qbox ≥5×,
 #                    18-node incast ≥40×, fan-in bulk digest equal)
 #   ./ci.sh --bench  additionally run the full simbench regression gate
 #                    (--full: adds the 256-node sharded-engine speedup gate,
 #                    the 1024/4096/16384/65536-node weak-scaling sweep with
 #                    peak-memory reporting, the streaming-stat memory gate,
-#                    the sparse shard-state gate at 4096 nodes / 64
-#                    shards (≥8× below the dense layout, bit-identical),
+#                    the shard-state gate at 4096 nodes (resident shard
+#                    state equal at 4 and 64 shards, ≥8× below the
+#                    analytic dense layout),
 #                    and the flyweight node-model gate at 16384 nodes
 #                    (≥4× less peak heap, ≥3× faster world construction
 #                    than the eager per-node boot, bit-identical digests);

@@ -6,7 +6,7 @@ use pico_fabric::FabricConfig;
 use pico_ihk::IkcConfig;
 use pico_linux::NoiseConfig;
 use pico_psm::PsmConfig;
-use pico_sim::Ns;
+use pico_sim::{Ns, MAX_COARSE_BITS};
 
 /// The operating-system configuration of a run — the three lines of
 /// every figure in §4.
@@ -43,9 +43,11 @@ pub enum FabricMode {
     /// Destination-rooted incast flow graph: each dispatch's same-link
     /// burst becomes one fabric reservation, and one sink per destination
     /// node merges members from *all* source links into a single soft
-    /// schedule over the shared downlink (`Fabric::extend_sink`). The
-    /// sink stays open across dispatches; successive flushes extend its
-    /// reservation, and delivery rides the zero-event soft schedule. An
+    /// schedule over the shared downlink (`Fabric::sink_inject` on the
+    /// source's uplink, then `Fabric::sink_commit` on the downlink —
+    /// one path for both engines). The sink stays open across
+    /// dispatches; successive flushes continue its downlink reservation,
+    /// and delivery rides the zero-event soft schedule. An
     /// N-to-1 incast needs one close reaper and one soft entry; pause,
     /// member caps, and lingering are per-sink. Conserved quantities
     /// equal [`FabricMode::PerPacket`] exactly, and the bulk arrival
@@ -149,8 +151,9 @@ pub struct ClusterConfig {
     /// vector a single delivery dispatch may own.
     pub flow_member_cap: usize,
     /// log2 of the fine pages spanned by one coarse-wheel bucket
-    /// (see `EventQueue::with_coarse_bits`); 6 keeps the PR 3 layout
-    /// (64 µs pages, ~67 ms horizon). The 128/256-node noise sweeps
+    /// (see `EventQueue::with_coarse_bits`), in
+    /// `1..=`[`MAX_COARSE_BITS`]; 6 keeps the PR 3 layout (64 µs pages,
+    /// ~67 ms horizon). The 128/256-node noise sweeps
     /// profile this via `WheelProfile::span_hist`.
     pub wheel_coarse_bits: u32,
     /// Which event engine executes the run (see [`EngineMode`]).
@@ -174,16 +177,6 @@ pub struct ClusterConfig {
     /// state, which is exactly what capped the sweeps at 256 nodes. The
     /// equivalence tests that compare finish times rank by rank opt in.
     pub record_per_rank: bool,
-    /// Size every shard's fabric gates and node-indexed structures
-    /// (`node_pending`, sink roots) to the **full cluster** instead of
-    /// the shard's own node range. Off by default: the dense layout
-    /// costs O(shards × total_nodes) memory and exists as the reference
-    /// the sparse layout is equivalence-tested (and its ≥8× memory gate
-    /// measured) against. Results are bit-identical either way — a
-    /// shard only ever touches its own nodes' state (a sparse shard
-    /// fabric panics on any other gate). Single-queue runs always span
-    /// every node.
-    pub dense_shard_state: bool,
     /// Boot every node eagerly — full dense driver register files, dense
     /// TID receive arrays, dense per-core block pools, and a privately
     /// built address space and buddy allocator per node — instead of the
@@ -235,7 +228,6 @@ impl ClusterConfig {
             threads: None,
             shards: None,
             record_per_rank: false,
-            dense_shard_state: false,
             eager_node_model: false,
         }
     }
@@ -256,6 +248,20 @@ impl ClusterConfig {
                 "engine = Sharded requires batch_fabric = Incast, got {:?}: the sharded \
                  engine routes every cross-node delivery through a destination sink",
                 self.batch_fabric
+            ));
+        }
+        if self.engine.sharded() && self.fabric.base_latency == Ns::ZERO {
+            return Err(
+                "engine = Sharded requires a positive fabric.base_latency: the link latency \
+                 is the conservative lookahead every shard window is sized by"
+                    .into(),
+            );
+        }
+        if !(1..=MAX_COARSE_BITS).contains(&self.wheel_coarse_bits) {
+            return Err(format!(
+                "wheel_coarse_bits = {} is outside 1..={MAX_COARSE_BITS}: a coarse wheel page \
+                 may not be wider than the fine ring",
+                self.wheel_coarse_bits
             ));
         }
         Ok(())
@@ -318,5 +324,45 @@ mod tests {
         assert!(e.contains("sdma_cap"), "{e}");
         c.sdma_cap = 1;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_sharded_without_lookahead() {
+        let shape = JobShape {
+            nodes: 4,
+            ranks_per_node: 1,
+        };
+        let mut c = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
+        c.fabric.base_latency = Ns::ZERO;
+        assert_eq!(
+            c.validate(),
+            Ok(()),
+            "the single-queue engine needs no lookahead"
+        );
+        c.engine = EngineMode::Sharded;
+        let e = c.validate().expect_err("zero lookahead must be rejected");
+        assert!(e.contains("fabric.base_latency"), "{e}");
+        c.fabric.base_latency = Ns(1);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_wheel_coarse_bits() {
+        let shape = JobShape {
+            nodes: 2,
+            ranks_per_node: 1,
+        };
+        let mut c = ClusterConfig::paper(OsConfig::Linux, shape);
+        for bits in [0, MAX_COARSE_BITS + 1] {
+            c.wheel_coarse_bits = bits;
+            let e = c
+                .validate()
+                .expect_err("out-of-range coarse bits must be rejected");
+            assert!(e.contains("wheel_coarse_bits"), "{e}");
+        }
+        for bits in [1, MAX_COARSE_BITS] {
+            c.wheel_coarse_bits = bits;
+            assert_eq!(c.validate(), Ok(()), "{bits}");
+        }
     }
 }

@@ -148,9 +148,9 @@ enum SoftKind {
 
 /// The destination-rooted incast flow of one node (`sinks[dst_node]`):
 /// the merge of every source link's bursts into a single soft schedule
-/// over the node's downlink, kept open across dispatches. Successive flushes from *any*
-/// source extend the shared fabric reservation
-/// ([`Fabric::extend_sink`]) and merge into `members` by
+/// over the node's downlink, kept open across dispatches. Successive
+/// flushes from *any* source continue the shared downlink reservation
+/// ([`Fabric::sink_commit`]) and merge into `members` by
 /// `(arrival, seq)`; one soft entry, one `node_pending` mark, and one
 /// [`Ev::SinkClose`] reaper cover every source link.
 /// Slots are allocated once per node and never freed; `open` flips as
@@ -170,7 +170,7 @@ struct SinkSlot {
     /// Soft-entry key time while `pending` — needed to re-key the entry
     /// when a merge introduces an earlier first arrival.
     entry_at: Ns,
-    /// Members accumulated by the open sink so far (the `extend_sink`
+    /// Members accumulated by the open sink so far (the `sink_commit`
     /// continuation length across all sources; resets on close).
     len: u64,
     /// Last append or delivery on this sink, for linger decisions.
@@ -349,17 +349,15 @@ pub struct RunResult {
     pub peak_alloc_bytes: u64,
     /// Resident bytes of node-indexed engine state at collection,
     /// summed across shards: fabric gate storage (the own node range)
-    /// and the `node_pending` / sink-root vectors. O(total_nodes) for the whole run under the sparse
-    /// shard layout, O(shards × total_nodes) under
-    /// [`ClusterConfig::dense_shard_state`] — the `simbench`
-    /// shard-state gate holds the sparse layout ≥8× below dense at
-    /// 4096 nodes / 64 shards.
+    /// and the `node_pending` / sink-root vectors. O(total_nodes) for
+    /// the whole run at any shard count — the `simbench` shard-state
+    /// gate checks it is equal at 4 and 64 shards and ≥8× below the
+    /// analytic O(shards × total_nodes) layout at 4096 nodes.
     pub shard_state_bytes: u64,
     /// Nodes whose fabric gate state was allocated, summed across
-    /// shards. Equals total nodes under the sparse layout (each shard
-    /// allocates exactly its own range and panics on any remote gate)
-    /// and shards × total nodes under the dense one — the property
-    /// tests' no-remote-allocation witness.
+    /// shards. Equals total nodes (each shard allocates exactly its own
+    /// range and panics on any remote gate) — the property tests'
+    /// no-remote-allocation witness.
     pub shard_gate_nodes: u64,
     /// MPI per-call time summed over all ranks.
     pub mpi_profile: TimeByKey<MpiCall>,
@@ -592,14 +590,10 @@ pub struct World {
     /// state, not O(ranks). Zero in single-queue runs.
     rank_base: usize,
     /// First global node id owned by this world (see `rank_base`).
+    /// `nodes`, `node_pending` and `sinks` cover exactly the own node
+    /// range and are indexed `node - node_base` — a shard never touches
+    /// another shard's pending marks or sink roots.
     node_base: usize,
-    /// First node whose `node_pending` / `sinks` entry this world
-    /// stores: both vectors are indexed `node - nstate_base`. Equal to
-    /// `node_base` in a sharded run (the vectors cover only the shard's
-    /// own node range — a shard never touches another shard's pending
-    /// marks or sink roots); 0 in single-queue runs and under
-    /// `cfg.dense_shard_state`, where they span every node.
-    nstate_base: usize,
     /// This shard's id (0 in single-queue runs).
     shard_id: u32,
     /// True inside a sharded run: inter-node sink bursts detour through
@@ -667,9 +661,6 @@ impl World {
         let shape = cfg.shape;
         let spec = pico_apps::spec(app, shape);
         let root_rng = Rng::new(cfg.seed);
-        let fabric = Fabric::new(cfg.fabric, shape.nodes as usize);
-        let lc = LinuxCosts::default();
-        let mmc = MckMmCosts::default();
 
         // Boot the address space of one local rank: buffers + scratch
         // mmapped from the node's frame pool. The VA layout this produces
@@ -734,6 +725,7 @@ impl World {
             }
         }
         let mut ranks = Vec::with_capacity(shape.nranks() as usize);
+        let mut skew_rng = root_rng.substream(7);
         for g in 0..shape.nranks() {
             let node = (g / shape.ranks_per_node) as usize;
             let local = g % shape.ranks_per_node;
@@ -759,7 +751,8 @@ impl World {
                 space,
                 dev_handle: 0,
                 ctxt: 0,
-                clock: Ns::ZERO,
+                // The launch skew: the rank's first wake.
+                clock: Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1))),
                 noise: NoiseSource::new(noise_cfg, root_rng.substream(1000 + g as u64)),
                 inbox: Vec::new(),
                 scratch: Vec::new(),
@@ -768,38 +761,55 @@ impl World {
                 done: false,
             });
         }
+        World::with_range(cfg, nodes, ranks, 0, 0)
+    }
+
+    /// Assemble a world owning nodes `[node_base, node_base +
+    /// nodes.len())` and ranks `[rank_base, rank_base + ranks.len())`:
+    /// the whole cluster for [`World::new`], one shard each for
+    /// [`split_shards`](Self::split_shards). Every node-indexed
+    /// structure — fabric gates, `node_pending`, sink roots — and every
+    /// per-rank counter vector covers exactly the own range, and each
+    /// rank's first wake is queued at its `clock` (the launch skew) in
+    /// rank order.
+    fn with_range(
+        cfg: ClusterConfig,
+        nodes: Vec<Node>,
+        ranks: Vec<RankState>,
+        rank_base: usize,
+        node_base: usize,
+    ) -> World {
+        let (count, nranks) = (nodes.len(), ranks.len());
+        let incast = cfg.batch_fabric.incast();
         let mut queue = EventQueue::with_coarse_bits(cfg.wheel_coarse_bits);
-        let mut skew_rng = root_rng.substream(7);
-        let mut pending_wake = Vec::with_capacity(ranks.len());
         let mut node_pending: Vec<std::collections::BTreeMap<Ns, u32>> =
-            vec![std::collections::BTreeMap::new(); nodes.len()];
-        for (r, rank) in ranks.iter_mut().enumerate() {
-            let skew = Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1)));
-            rank.clock = skew;
-            queue.schedule(skew, Ev::Wake(r));
-            if cfg.batch_fabric.incast() {
-                *node_pending[rank.node].entry(skew).or_insert(0) += 1;
+            vec![std::collections::BTreeMap::new(); count];
+        let mut pending_wake = Vec::with_capacity(nranks);
+        for (j, rank) in ranks.iter().enumerate() {
+            queue.schedule(rank.clock, Ev::Wake(rank_base + j));
+            if incast {
+                *node_pending[rank.node - node_base]
+                    .entry(rank.clock)
+                    .or_insert(0) += 1;
             }
-            pending_wake.push(skew);
+            pending_wake.push(rank.clock);
         }
         let hot = HotCfg {
             os: cfg.os,
             pio_base: cfg.pio_base,
             pio_bw: cfg.pio_bw,
             copy_bw: cfg.copy_bw,
-            incast: cfg.batch_fabric.incast(),
+            incast,
             rpn: cfg.shape.ranks_per_node as usize,
         };
-        let nranks = ranks.len();
-        let nnodes = nodes.len();
         World {
+            fabric: Fabric::new_shard(cfg.fabric, cfg.shape.nodes as usize, node_base, count),
             cfg,
             hot,
-            lc,
-            mmc,
+            lc: LinuxCosts::default(),
+            mmc: MckMmCosts::default(),
             nodes,
             ranks,
-            fabric,
             queue,
             delivered_payloads: 0,
             pending_wake,
@@ -818,7 +828,7 @@ impl World {
             engaged_scratch: Vec::new(),
             node_pending,
             soft: Vec::new(),
-            sinks: (0..nnodes).map(|_| SinkSlot::default()).collect(),
+            sinks: (0..count).map(|_| SinkSlot::default()).collect(),
             link_index: LinkIndex::new(),
             resplits: 0,
             sinks_opened: 0,
@@ -833,9 +843,8 @@ impl World {
             arrival_sketch: Sketch::new(),
             soft_deliveries: 0,
             sim_now: Ns::ZERO,
-            rank_base: 0,
-            node_base: 0,
-            nstate_base: 0,
+            rank_base,
+            node_base,
             shard_id: 0,
             sharded: false,
             outbox: Vec::new(),
@@ -1043,7 +1052,7 @@ impl World {
             return false;
         }
         let node = self.ranks[(dst) - self.rank_base].node;
-        if self.node_pending[node - self.nstate_base]
+        if self.node_pending[node - self.node_base]
             .range(..=arrival)
             .next()
             .is_some()
@@ -1061,9 +1070,7 @@ impl World {
     fn schedule_ev(&mut self, at: Ns, ev: Ev) {
         if self.hot.incast {
             if let Some(n) = self.ev_node(&ev) {
-                *self.node_pending[n - self.nstate_base]
-                    .entry(at)
-                    .or_insert(0) += 1;
+                *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
             }
         }
         self.queue.schedule(at, ev);
@@ -1074,7 +1081,7 @@ impl World {
     /// [`push_soft`](Self::push_soft), applied when the event or soft
     /// item is dispatched).
     fn node_pending_remove(&mut self, n: usize, t: Ns) {
-        let n = n - self.nstate_base;
+        let n = n - self.node_base;
         match self.node_pending[n].get_mut(&t) {
             Some(c) if *c > 1 => *c -= 1,
             _ => {
@@ -1093,9 +1100,7 @@ impl World {
             SoftKind::Ev(ev) => self.ev_node(ev),
         };
         if let Some(n) = node {
-            *self.node_pending[n - self.nstate_base]
-                .entry(at)
-                .or_insert(0) += 1;
+            *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
         }
         let seq = self.queue.alloc_seq();
         let item = SoftItem { at, seq, kind };
@@ -1105,9 +1110,11 @@ impl World {
 
     /// Run; optionally print stuck-rank diagnostics at exhaustion.
     pub fn run_with_debug(mut self, debug: bool) -> RunResult {
-        if self.cfg.engine.sharded() && self.nodes.len() > 1 {
-            return self.run_sharded(debug);
+        let nshards = self.shard_count();
+        if nshards > 1 {
+            return self.run_sharded(nshards, debug);
         }
+        // One shard is just the single-queue walk.
         let started = std::time::Instant::now();
         self.pump(Ns::MAX);
         if debug {
@@ -1118,6 +1125,20 @@ impl World {
         }
         let elapsed = started.elapsed().as_secs_f64();
         collect_many(vec![self], elapsed, 1, 1)
+    }
+
+    /// Shards this run partitions into: 1 for the single-queue engine,
+    /// else the pinned `cfg.shards` or the sizing heuristic, clamped to
+    /// the node count.
+    fn shard_count(&self) -> usize {
+        if !self.cfg.engine.sharded() {
+            return 1;
+        }
+        let nnodes = self.nodes.len();
+        self.cfg
+            .shards
+            .unwrap_or_else(|| auto_shard_count(nnodes, self.hot.rpn))
+            .clamp(1, nnodes)
     }
 
     /// Earliest pending dispatch time across the queue and the soft
@@ -1184,7 +1205,7 @@ impl World {
     }
 
     /// The conservative-lookahead engine ([`EngineMode::Sharded`]):
-    /// partition the world into node-contiguous shards, run them in BSP
+    /// partition the world into `want` node-contiguous shards, run them in BSP
     /// windows one link latency wide, and exchange cross-node sink
     /// bursts at the window barriers. Any event a shard executes at `t <
     /// window_end = T_min + base_latency` can only influence another
@@ -1192,32 +1213,11 @@ impl World {
     /// at `t + base_latency ≥ window_end` — so every window's execution
     /// is causally closed and the result is bit-identical on any thread
     /// count (the partition depends only on the shard count).
-    fn run_sharded(self, debug: bool) -> RunResult {
+    fn run_sharded(self, want: usize, debug: bool) -> RunResult {
         let started = std::time::Instant::now();
+        // Positive: `ClusterConfig::validate` rejects a sharded run with
+        // a zero base link latency.
         let lookahead = self.cfg.fabric.base_latency.0;
-        assert!(
-            lookahead > 0,
-            "sharded engine needs a positive base link latency for lookahead"
-        );
-        let nnodes = self.nodes.len();
-        let want = self
-            .cfg
-            .shards
-            .unwrap_or_else(|| auto_shard_count(nnodes, self.hot.rpn))
-            .clamp(1, nnodes);
-        if want <= 1 {
-            // One shard is just the single-queue walk.
-            let mut w = self;
-            w.pump(Ns::MAX);
-            if debug {
-                let d = w.debug_stuck();
-                if !d.is_empty() {
-                    eprintln!("--- stuck ranks ---\n{d}");
-                }
-            }
-            let elapsed = started.elapsed().as_secs_f64();
-            return collect_many(vec![w], elapsed, 1, 1);
-        }
         let threads = self
             .cfg
             .threads
@@ -1298,20 +1298,18 @@ impl World {
     }
 
     /// Partition this (fresh, not-yet-run) world into `nshards`
-    /// node-contiguous shards. Entity state (`ranks`, `nodes`) is
-    /// chunked, and the per-rank counter vectors are chunked with it
-    /// (`g - rank_base` indexing), so a shard's footprint is
-    /// O(ranks/shards), not O(ranks). Each shard gets its own queue
-    /// (the initial wakes rescheduled in rank order — `rank.clock`
-    /// still holds the launch skew, and nothing else is pending this
-    /// early), its own shard-local fabric (a shard only advances its
-    /// own nodes' uplinks at injection and downlinks at commit, so gate
-    /// state never races — and the gate array covers only the own node
-    /// range), its own-range `node_pending` / sink-root vectors
-    /// (indexed `node - nstate_base`, the node analogue of the
-    /// `g - rank_base` rank counters), and its own soft schedule.
-    /// `cfg.dense_shard_state` restores the full-cluster sizing as the
-    /// reference layout. Returns the shards and the node → shard map.
+    /// node-contiguous shards, each assembled by
+    /// [`with_range`](Self::with_range) over its own node and rank
+    /// range. Entity state (`ranks`, `nodes`) is chunked, and every
+    /// per-rank counter and node-indexed vector is sized to the shard
+    /// (`g - rank_base` / `node - node_base` indexing), so a shard's
+    /// footprint is O(ranks/shards), not O(ranks). Each shard gets its
+    /// own queue (the initial wakes rescheduled in rank order —
+    /// `rank.clock` still holds the launch skew, and nothing else is
+    /// pending this early), its own shard-local fabric (a shard only
+    /// advances its own nodes' uplinks at injection and downlinks at
+    /// commit, so gate state never races) and its own soft schedule.
+    /// Returns the shards and the node → shard map.
     fn split_shards(mut self, nshards: usize) -> (Vec<World>, Vec<u32>) {
         assert_eq!(
             self.queue.events_processed(),
@@ -1323,99 +1321,20 @@ impl World {
         let base = nnodes / nshards;
         let rem = nnodes % nshards;
         let mut node_shard = vec![0u32; nnodes];
-        let mut shards = Vec::with_capacity(nshards);
         let mut nodes_iter = std::mem::take(&mut self.nodes).into_iter();
         let mut ranks_iter = std::mem::take(&mut self.ranks).into_iter();
         let mut node_base = 0usize;
+        let mut shards = Vec::with_capacity(nshards);
         for i in 0..nshards {
             let count = base + usize::from(i < rem);
+            node_shard[node_base..node_base + count].fill(i as u32);
             let nodes: Vec<Node> = nodes_iter.by_ref().take(count).collect();
             let ranks: Vec<RankState> = ranks_iter.by_ref().take(count * rpn).collect();
-            let rank_base = node_base * rpn;
-            for s in &mut node_shard[node_base..node_base + count] {
-                *s = i as u32;
-            }
-            let mut queue = EventQueue::with_coarse_bits(self.cfg.wheel_coarse_bits);
-            let dense = self.cfg.dense_shard_state;
-            let (nstate, nstate_base) = if dense {
-                (nnodes, 0)
-            } else {
-                (count, node_base)
-            };
-            let mut node_pending: Vec<std::collections::BTreeMap<Ns, u32>> =
-                vec![std::collections::BTreeMap::new(); nstate];
-            let shard_ranks = count * rpn;
-            let mut pending_wake = vec![Ns::MAX; shard_ranks];
-            for (j, rank) in ranks.iter().enumerate() {
-                let g = rank_base + j;
-                queue.schedule(rank.clock, Ev::Wake(g));
-                *node_pending[rank.node - nstate_base]
-                    .entry(rank.clock)
-                    .or_insert(0) += 1;
-                pending_wake[j] = rank.clock;
-            }
-            shards.push(World {
-                cfg: self.cfg.clone(),
-                hot: self.hot,
-                lc: self.lc,
-                mmc: self.mmc,
-                nodes,
-                ranks,
-                fabric: if dense {
-                    Fabric::new(self.cfg.fabric, nnodes)
-                } else {
-                    Fabric::new_shard(self.cfg.fabric, nnodes, node_base, count)
-                },
-                queue,
-                delivered_payloads: 0,
-                pending_wake,
-                action_scratch: Vec::new(),
-                inbox_scratch: Vec::new(),
-                pending_trains: Vec::new(),
-                member_pool: Vec::new(),
-                fabric_member_scratch: Vec::new(),
-                sched_scratch: Vec::new(),
-                sent_scratch: Vec::new(),
-                emit_seq: 0,
-                train_epoch: 0,
-                train_delivered: vec![0; shard_ranks],
-                train_parked: vec![0; shard_ranks],
-                train_park_clock: vec![Ns::ZERO; shard_ranks],
-                engaged_scratch: Vec::new(),
-                node_pending,
-                soft: Vec::new(),
-                sinks: (0..nstate).map(|_| SinkSlot::default()).collect(),
-                link_index: LinkIndex::new(),
-                resplits: 0,
-                sinks_opened: 0,
-                sink_members_total: 0,
-                max_sink_len: 0,
-                sink_pauses: 0,
-                arrival_digest: 0,
-                arrival_digest_bulk: 0,
-                arrival_trace: self
-                    .arrival_trace
-                    .as_ref()
-                    .map(|(p, _)| (p.clone(), Vec::new())),
-                arrival_sketch: Sketch::new(),
-                soft_deliveries: 0,
-                sim_now: Ns::ZERO,
-                rank_base,
-                node_base,
-                nstate_base,
-                shard_id: i as u32,
-                sharded: true,
-                outbox: Vec::new(),
-                emit_order: 0,
-                commit_seq: 0,
-                sent_seen: vec![0; shard_ranks],
-                sent_seen_epoch: 0,
-                payloads_checked: 0,
-                payload_errors: 0,
-                dispatches: 0,
-                window_horizon: Ns::MAX,
-                inj_scratch: Vec::new(),
-            });
+            let mut shard =
+                World::with_range(self.cfg.clone(), nodes, ranks, node_base * rpn, node_base);
+            shard.shard_id = i as u32;
+            shard.sharded = true;
+            shards.push(shard);
             node_base += count;
         }
         (shards, node_shard)
@@ -1427,7 +1346,7 @@ impl World {
         match item.kind {
             SoftKind::Sink(i) => {
                 self.node_pending_remove(i, item.at);
-                let si = i - self.nstate_base;
+                let si = i - self.node_base;
                 let members = std::mem::take(&mut self.sinks[si].members);
                 self.sinks[si].pending = false;
                 self.sinks[si].last_activity = item.at;
@@ -1761,49 +1680,22 @@ impl World {
         }
     }
 
-    fn flush_one_train(
+    /// Collect the sender-side completion IRQs of a burst whose members
+    /// left the uplink at `injected`; they are serviced in global
+    /// emission order by `flush_completions` once every train of the
+    /// flush has its fabric schedule.
+    fn collect_completions(
         &mut self,
         src_node: usize,
-        dst_node: usize,
-        members: &mut Vec<PendingMember>,
+        members: &[PendingMember],
+        injected: impl Iterator<Item = Ns>,
     ) {
-        // Inter-node link: the burst extends the destination's merged
-        // sink instead of becoming its own train. Intra-node
-        // (shared-memory) arrivals are not monotone across dispatches, so
-        // those bursts stay per-flush trains — on the soft schedule.
-        if src_node != dst_node {
-            if self.sharded {
-                // Sharded engine: the destination sink lives on another
-                // shard (or must be committed in global order even when
-                // it doesn't) — run the source half here, ship the rest.
-                self.sink_defer(src_node, dst_node, members);
-            } else {
-                self.sink_append(src_node, dst_node, members);
-            }
-            return;
-        }
-        // One reservation per gate for the whole burst.
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
-        let mut scheds = std::mem::take(&mut self.sched_scratch);
-        scheds.clear();
-        self.fabric
-            .transfer_train(src_node, dst_node, &fm, &mut scheds);
-        // Collect the sender-side completion IRQs; they are serviced in
-        // global emission order by `flush_completions` once every train
-        // of the flush has its fabric schedule.
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
+        for (m, at) in members.iter().zip(injected) {
             if let Some((rank, msg_id, window, va, cpu)) = m.completion {
                 self.sent_scratch.push((
                     m.seq,
                     src_node,
-                    sched.injected + self.lc.irq_entry,
+                    at + self.lc.irq_entry,
                     cpu,
                     SentMember {
                         rank,
@@ -1814,8 +1706,50 @@ impl World {
                 ));
             }
         }
-        // Deliver: a singleton burst stays a plain packet; a real train
-        // becomes one delivery at its first arrival.
+    }
+
+    fn flush_one_train(
+        &mut self,
+        src_node: usize,
+        dst_node: usize,
+        members: &mut Vec<PendingMember>,
+    ) {
+        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
+        fm.clear();
+        fm.extend(members.iter().map(|m| TrainMember {
+            at: m.at,
+            bytes: m.bytes,
+            nreqs: m.nreqs,
+        }));
+        // Inter-node link: the burst extends the destination's merged
+        // sink instead of becoming its own train. Intra-node
+        // (shared-memory) arrivals are not monotone across dispatches, so
+        // those bursts stay per-flush trains — on the soft schedule.
+        if src_node != dst_node {
+            self.flush_sink_burst(src_node, dst_node, &fm, members);
+        } else {
+            self.flush_intra_train(src_node, &fm, members);
+        }
+        fm.clear();
+        self.fabric_member_scratch = fm;
+    }
+
+    /// One shared-memory burst: one fabric call for the whole burst,
+    /// delivered as a plain packet (singleton) or one soft train at its
+    /// first arrival.
+    fn flush_intra_train(
+        &mut self,
+        node: usize,
+        fm: &[TrainMember],
+        members: &mut Vec<PendingMember>,
+    ) {
+        let mut scheds = std::mem::take(&mut self.sched_scratch);
+        scheds.clear();
+        self.fabric.transfer_train(node, node, fm, &mut scheds);
+        for (m, sched) in members.iter().zip(&scheds) {
+            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
+        }
+        self.collect_completions(node, members, scheds.iter().map(|s| s.injected));
         if members.len() == 1 {
             let m = members.pop().expect("one member");
             self.push_soft(
@@ -1838,15 +1772,13 @@ impl World {
                     packet: m.packet,
                 })
                 .collect();
-            // Link arrivals are monotone by FIFO construction, but the
-            // shared-memory path isn't when emissions interleave: keep
-            // delivery in time order (stable, so ties keep link order).
+            // The shared-memory path is not FIFO when emissions
+            // interleave: keep delivery in time order (stable, so ties
+            // keep link order).
             packets.sort_by_key(|p| p.arrival);
             let first = packets[0].arrival;
             self.push_soft(first, SoftKind::Ev(Ev::PacketTrain { members: packets }));
         }
-        fm.clear();
-        self.fabric_member_scratch = fm;
         scheds.clear();
         self.sched_scratch = scheds;
     }
@@ -1855,7 +1787,7 @@ impl World {
     /// undelivered members stay in place and a successor reuses the
     /// slot).
     fn close_sink(&mut self, idx: usize) {
-        let si = idx - self.nstate_base;
+        let si = idx - self.node_base;
         if self.sinks[si].open {
             self.max_sink_len = self.max_sink_len.max(self.sinks[si].len);
             self.sinks[si].open = false;
@@ -1863,32 +1795,112 @@ impl World {
         }
     }
 
-    /// Merge one flush's burst from `src_node` into `dst_node`'s
-    /// destination-rooted sink: extend the fabric reservation from where
-    /// the previous commit left the gates, collect sender completions,
-    /// and make sure one soft delivery entry and one reaper timer cover
-    /// the sink. The fabric side ([`Fabric::extend_sink`]) advances the
-    /// source's uplink gate and commits the shared downlink once,
-    /// continuing the sink's cumulative reservation, so arrivals are
-    /// bit-identical to per-packet transfers committed in the same
-    /// order. Cross-source arrivals are not monotone in commit order, so
-    /// new members *merge* into the pending vector by `(arrival, seq)`
-    /// and the sink's single soft entry is re-keyed when the merge
-    /// introduces an earlier head.
-    fn sink_append(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
-        let now = self.sim_now;
+    /// One inter-node burst from `src_node` to `dst_node`'s sink. The
+    /// source half runs here in both engines: commit the burst on the
+    /// source's uplink gate ([`Fabric::sink_inject`]) and collect the
+    /// sender completions. The destination half is
+    /// [`commit_sink`](Self::commit_sink): inline in a single-queue run;
+    /// in a sharded run the members ship with their uplink schedules to
+    /// the destination shard's inbox and commit at the window barrier
+    /// ([`commit_edge_msg`](Self::commit_edge_msg)). Conservative
+    /// lookahead guarantees the commit lands before any arrival can
+    /// matter (arrival ≥ emit time + base latency = the lookahead).
+    fn flush_sink_burst(
+        &mut self,
+        src_node: usize,
+        dst_node: usize,
+        fm: &[TrainMember],
+        members: &mut Vec<PendingMember>,
+    ) {
+        let mut inj = std::mem::take(&mut self.inj_scratch);
+        inj.clear();
+        self.fabric.sink_inject(src_node, fm, &mut inj);
+        self.collect_completions(src_node, members, inj.iter().map(|i| i.up_finish));
+        if self.sharded {
+            let ms: Vec<EdgeMember> = members
+                .drain(..)
+                .zip(inj.drain(..))
+                .map(|(m, i)| EdgeMember {
+                    inj: i,
+                    dst: m.dst,
+                    src: m.src,
+                    packet: m.packet,
+                })
+                .collect();
+            self.emit_order += 1;
+            self.outbox.push(EdgeMsg {
+                emit_at: self.sim_now,
+                src_shard: self.shard_id,
+                emit_order: self.emit_order,
+                dst_node,
+                members: ms,
+            });
+        } else {
+            let members = members.drain(..).map(|m| (m.dst, m.src, m.packet));
+            self.commit_sink(self.sim_now, dst_node, &inj, members);
+        }
+        inj.clear();
+        shrink_scratch(&mut inj);
+        self.inj_scratch = inj;
+    }
+
+    /// Commit every burst shipped to this shard during the window, in
+    /// the global order `(emit time, source shard, per-shard emission
+    /// counter)` — identical on every thread count.
+    fn commit_inbox(&mut self, msgs: &mut Vec<EdgeMsg>) {
+        msgs.sort_unstable_by_key(|m| (m.emit_at, m.src_shard, m.emit_order));
+        for msg in msgs.drain(..) {
+            self.commit_edge_msg(msg);
+        }
+    }
+
+    /// The destination half of a cross-shard burst, replayed at its
+    /// emit time.
+    fn commit_edge_msg(&mut self, msg: EdgeMsg) {
+        self.sim_now = msg.emit_at;
+        let mut inj = std::mem::take(&mut self.inj_scratch);
+        inj.clear();
+        inj.extend(msg.members.iter().map(|m| m.inj));
+        let members = msg.members.into_iter().map(|m| (m.dst, m.src, m.packet));
+        self.commit_sink(msg.emit_at, msg.dst_node, &inj, members);
+        inj.clear();
+        shrink_scratch(&mut inj);
+        self.inj_scratch = inj;
+    }
+
+    /// The destination half of every inter-node burst, in both engines:
+    /// merge already-injected `members` (`(dst rank, src rank, packet)`,
+    /// uplink schedules in `inj`) into `dst_node`'s destination-rooted
+    /// sink at time `now`. Lazily closes the sink (every source idled
+    /// past the linger, or the member cap would be breached) and opens a
+    /// successor, continues the sink's cumulative downlink reservation
+    /// ([`Fabric::sink_commit`]) — so arrivals are bit-identical to
+    /// per-packet transfers committed in the same order — and makes sure
+    /// one soft delivery entry and one reaper timer cover the sink.
+    ///
+    /// Cross-source arrivals are not monotone in commit order, so new
+    /// members *merge* into the pending vector by `(arrival, seq)`, and
+    /// the sink's single soft entry is re-keyed when the merge
+    /// introduces an earlier head. Member seqs come from `commit_seq`
+    /// (monotone in commit order); every flush has a single source node
+    /// and so at most one burst per sink, which makes commit order equal
+    /// emission order for the members of any one sink.
+    fn commit_sink(
+        &mut self,
+        now: Ns,
+        dst_node: usize,
+        inj: &[SinkInjection],
+        members: impl Iterator<Item = (usize, u32, PsmPacket)>,
+    ) {
         let linger = self.cfg.flow_linger_ns;
         // `idx` keys the soft schedule / reaper / `node_pending` (global
         // node id); `si` indexes the own-range sink vector.
         let idx = dst_node;
-        let si = idx - self.nstate_base;
-        // Lazy close: every source feeding the sink idled past the
-        // linger, or this burst would breach the member cap — finalize
-        // and open a successor (per-sink, not per-link).
+        let si = idx - self.node_base;
         if self.sinks[si].open {
             let s = &self.sinks[si];
             let idled = !s.pending && now > s.last_activity + linger;
-            let capped = s.len as usize + members.len() > self.cfg.flow_member_cap;
+            let capped = s.len as usize + inj.len() > self.cfg.flow_member_cap;
             if idled || capped {
                 self.close_sink(idx);
             }
@@ -1897,55 +1909,32 @@ impl World {
             self.sinks[si].open = true;
             self.sinks_opened += 1;
         }
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
         let mut scheds = std::mem::take(&mut self.sched_scratch);
         scheds.clear();
         let prior = self.sinks[si].len;
-        self.fabric
-            .extend_sink(src_node, dst_node, &fm, prior, &mut scheds);
-        for (m, sched) in members.iter().zip(&scheds) {
-            self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    sched.injected + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
-        let n = members.len() as u64;
+        self.fabric.sink_commit(idx, inj, prior, &mut scheds);
+        let n = inj.len() as u64;
         // One burst is single-source, so its arrivals are monotone; only
-        // the boundary against members already pending (other sources,
-        // or an earlier bucket of this flush with interleaved emission
-        // seqs) can put the new head out of order.
+        // the boundary against members already pending (other sources)
+        // can put the new head out of order.
         let merge_needed = self.sinks[si]
             .members
             .last()
-            .is_some_and(|tail| (scheds[0].arrival, members[0].seq) < (tail.arrival, tail.seq));
-        for (m, s) in members.drain(..).zip(scheds.iter()) {
+            .is_some_and(|tail| (scheds[0].arrival, self.commit_seq) < (tail.arrival, tail.seq));
+        for (((dst, src, packet), s), i) in members.zip(&scheds).zip(inj) {
+            self.digest_arrival(s.arrival, dst, src, i.bytes);
+            let seq = self.commit_seq;
+            self.commit_seq += 1;
             self.sinks[si].members.push(TrainPacket {
                 arrival: s.arrival,
-                seq: m.seq,
-                dst: m.dst,
-                src: m.src,
-                packet: m.packet,
+                seq,
+                dst,
+                src,
+                packet,
             });
         }
         if merge_needed {
-            // `seq` is globally unique, so the key is total — unstable
+            // `seq` is unique per world, so the key is total — unstable
             // sort is deterministic.
             self.sinks[si]
                 .members
@@ -1979,164 +1968,6 @@ impl World {
             self.sinks[si].reaper_armed = true;
             self.schedule_ev(now + linger, Ev::SinkClose { slot: idx });
         }
-        fm.clear();
-        self.fabric_member_scratch = fm;
-        scheds.clear();
-        self.sched_scratch = scheds;
-    }
-
-    /// Source half of [`sink_append`](Self::sink_append) for the sharded
-    /// engine: commit the burst on the *source's* uplink gate (owned by
-    /// this shard), service the sender completions locally, and ship the
-    /// members — with their uplink schedules — to the destination shard
-    /// via the outbox. The destination half runs in
-    /// [`commit_edge_msg`](Self::commit_edge_msg) at the window barrier;
-    /// conservative lookahead guarantees it commits before any arrival
-    /// can matter (arrival ≥ emit time + base latency = the lookahead).
-    fn sink_defer(&mut self, src_node: usize, dst_node: usize, members: &mut Vec<PendingMember>) {
-        let mut fm = std::mem::take(&mut self.fabric_member_scratch);
-        fm.clear();
-        fm.extend(members.iter().map(|m| TrainMember {
-            at: m.at,
-            bytes: m.bytes,
-            nreqs: m.nreqs,
-        }));
-        let mut inj = std::mem::take(&mut self.inj_scratch);
-        inj.clear();
-        self.fabric.sink_inject(src_node, &fm, &mut inj);
-        for (m, i) in members.iter().zip(&inj) {
-            if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                // `up_finish` == the whole-run engine's `sched.injected`.
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    i.up_finish + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
-            }
-        }
-        let ms: Vec<EdgeMember> = members
-            .drain(..)
-            .zip(inj.drain(..))
-            .map(|(m, i)| EdgeMember {
-                inj: i,
-                dst: m.dst,
-                src: m.src,
-                packet: m.packet,
-            })
-            .collect();
-        self.emit_order += 1;
-        self.outbox.push(EdgeMsg {
-            emit_at: self.sim_now,
-            src_shard: self.shard_id,
-            emit_order: self.emit_order,
-            dst_node,
-            members: ms,
-        });
-        fm.clear();
-        self.fabric_member_scratch = fm;
-        shrink_scratch(&mut inj);
-        self.inj_scratch = inj;
-    }
-
-    /// Commit every burst shipped to this shard during the window, in
-    /// the global order `(emit time, source shard, per-shard emission
-    /// counter)` — identical on every thread count.
-    fn commit_inbox(&mut self, msgs: &mut Vec<EdgeMsg>) {
-        msgs.sort_unstable_by_key(|m| (m.emit_at, m.src_shard, m.emit_order));
-        for msg in msgs.drain(..) {
-            self.commit_edge_msg(msg);
-        }
-    }
-
-    /// Destination half of [`sink_append`](Self::sink_append): replay
-    /// the sink-slot bookkeeping at the burst's emit time, commit the
-    /// shared downlink on *this* shard's fabric, and merge the members
-    /// into the sink. Member seqs are reassigned from `commit_seq`
-    /// (monotone in global commit order), so within-sink `(arrival,
-    /// seq)` ties break exactly as the single-queue engine's
-    /// emission-order seqs break them.
-    fn commit_edge_msg(&mut self, msg: EdgeMsg) {
-        let now = msg.emit_at;
-        self.sim_now = now;
-        let linger = self.cfg.flow_linger_ns;
-        let idx = msg.dst_node;
-        let si = idx - self.nstate_base;
-        if self.sinks[si].open {
-            let s = &self.sinks[si];
-            let idled = !s.pending && now > s.last_activity + linger;
-            let capped = s.len as usize + msg.members.len() > self.cfg.flow_member_cap;
-            if idled || capped {
-                self.close_sink(idx);
-            }
-        }
-        if !self.sinks[si].open {
-            self.sinks[si].open = true;
-            self.sinks_opened += 1;
-        }
-        let mut inj = std::mem::take(&mut self.inj_scratch);
-        inj.clear();
-        inj.extend(msg.members.iter().map(|m| m.inj));
-        let mut scheds = std::mem::take(&mut self.sched_scratch);
-        scheds.clear();
-        let prior = self.sinks[si].len;
-        self.fabric.sink_commit(idx, &inj, prior, &mut scheds);
-        let n = msg.members.len() as u64;
-        let merge_needed = self.sinks[si]
-            .members
-            .last()
-            .is_some_and(|tail| (scheds[0].arrival, self.commit_seq) < (tail.arrival, tail.seq));
-        for (m, s) in msg.members.into_iter().zip(scheds.iter()) {
-            self.digest_arrival(s.arrival, m.dst, m.src, m.inj.bytes);
-            let seq = self.commit_seq;
-            self.commit_seq += 1;
-            self.sinks[si].members.push(TrainPacket {
-                arrival: s.arrival,
-                seq,
-                dst: m.dst,
-                src: m.src,
-                packet: m.packet,
-            });
-        }
-        if merge_needed {
-            self.sinks[si]
-                .members
-                .sort_unstable_by_key(|p| (p.arrival, p.seq));
-        }
-        self.sinks[si].len += n;
-        self.sink_members_total += n;
-        self.max_sink_len = self.max_sink_len.max(self.sinks[si].len);
-        self.sinks[si].last_activity = now;
-        let head = self.sinks[si].members[0].arrival;
-        if !self.sinks[si].pending {
-            self.sinks[si].pending = true;
-            self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
-        } else if head < self.sinks[si].entry_at {
-            let old = self.sinks[si].entry_at;
-            let pos = self
-                .soft
-                .iter()
-                .position(|s| matches!(s.kind, SoftKind::Sink(j) if j == idx))
-                .expect("pending sink has a soft entry");
-            self.soft.remove(pos);
-            self.node_pending_remove(idx, old);
-            self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
-        }
-        if !self.sinks[si].reaper_armed {
-            self.sinks[si].reaper_armed = true;
-            self.schedule_ev(now + linger, Ev::SinkClose { slot: idx });
-        }
-        inj.clear();
-        shrink_scratch(&mut inj);
-        self.inj_scratch = inj;
         scheds.clear();
         self.sched_scratch = scheds;
     }
@@ -2147,7 +1978,7 @@ impl World {
     /// costs no further events. One timer covers the whole incast.
     fn on_sink_close(&mut self, slot: usize, t: Ns) {
         let linger = self.cfg.flow_linger_ns;
-        let si = slot - self.nstate_base;
+        let si = slot - self.node_base;
         let s = &self.sinks[si];
         let (pending, last, open) = (s.pending, s.last_activity, s.open);
         if pending {
@@ -2271,7 +2102,7 @@ impl World {
                     // into the sink and re-defers as its single soft
                     // entry; later appends extend it in place.
                     self.sink_pauses += 1;
-                    let si = i - self.nstate_base;
+                    let si = i - self.node_base;
                     debug_assert!(self.sinks[si].members.is_empty());
                     self.sinks[si].entry_at = at;
                     self.sinks[si].members = rest;
@@ -3066,9 +2897,8 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
                 t.capacity() * std::mem::size_of::<ArrivalTraceRow>()
             })) as u64;
         // Node-indexed state this shard carried: fabric gate storage
-        // plus the `node_pending`/sink-root vectors. Under the sparse
-        // layout these scale with the shard's own node range; under
-        // `dense_shard_state` every shard carries the full cluster.
+        // plus the `node_pending`/sink-root vectors, each sized to the
+        // shard's own node range.
         shard_state_bytes += (w.fabric.resident_gate_bytes()
             + w.node_pending.capacity()
                 * std::mem::size_of::<std::collections::BTreeMap<Ns, u32>>()

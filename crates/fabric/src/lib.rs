@@ -300,64 +300,31 @@ impl Fabric {
             out.extend(members.iter().map(|m| self.shm_schedule(m.at, m.bytes)));
             return;
         }
-        self.link_train(src, dst, members, total, out);
+        let mut up_free = self.gates_mut(src).up.free_at();
+        let mut down_free = self.gates_mut(dst).down.free_at();
+        let mut up_busy = Ns::ZERO;
+        let mut down_busy = Ns::ZERO;
+        for m in members {
+            out.push(self.link_schedule(&mut up_free, &mut down_free, m.at, m.bytes, m.nreqs));
+            up_busy += self.wire_time(m.bytes, m.nreqs);
+            down_busy += pico_sim::transfer_time(m.bytes, self.cfg.link_bw);
+        }
+        self.gates_mut(src).up.commit_train(up_free, total, up_busy);
+        self.gates_mut(dst)
+            .down
+            .commit_train(down_free, total, down_busy);
     }
 
-    /// Merge `members` emitted by source `src` into the
-    /// **destination-rooted sink** on node `dst` — the incast flow graph.
-    /// A sink owns the downlink's analytic schedule and accepts members
-    /// from *every* source link: each call advances `src`'s uplink gate
-    /// independently and commits the shared downlink exactly once for the
-    /// merge. Because both gate cursors persist between calls, interleaved
-    /// extensions from many sources produce byte-identical schedules and
-    /// gate state to the same global sequence of per-packet
-    /// [`transfer`](Self::transfer) calls — the FIFO merge rule is the
-    /// link rule itself, so the sink is FIFO-exact by construction.
-    ///
-    /// `prior_len` is the member count already merged into this sink
-    /// across all sources; train statistics count the whole incast as one
-    /// cumulative logical train once it reaches two members, no matter
-    /// how many extensions delivered them. Sinks exist only for
-    /// inter-node links (`src != dst`): shared-memory arrivals ignore the
-    /// link FIFO, so appends could not stay sorted.
-    pub fn extend_sink(
-        &mut self,
-        src: usize,
-        dst: usize,
-        members: &[TrainMember],
-        prior_len: u64,
-        out: &mut Vec<TransferSchedule>,
-    ) {
-        assert_ne!(src, dst, "sinks are inter-node only");
-        if members.is_empty() {
-            return;
-        }
-        self.messages += members.len() as u64;
-        let total: u64 = members.iter().map(|m| m.bytes).sum();
-        self.bytes += total;
-        let new_len = prior_len + members.len() as u64;
-        if new_len >= 2 {
-            if prior_len < 2 {
-                // The sink just became a train: count it and retroactively
-                // credit the members delivered before this extension.
-                self.trains += 1;
-                self.train_members += prior_len;
-            }
-            self.train_members += members.len() as u64;
-            self.max_train_len = self.max_train_len.max(new_len);
-        }
-        self.link_train(src, dst, members, total, out);
-    }
-
-    /// Source half of a split [`extend_sink`](Self::extend_sink): walk
-    /// `members` through `src`'s **uplink only**, committing the gate
-    /// once, and report each member's `(up_start, up_finish)` so a
-    /// different `Fabric` instance — the destination shard's, in the
-    /// sharded engine — can later run the downlink half with
-    /// [`sink_commit`](Self::sink_commit). The per-message/byte counters
-    /// accrue here (the source side), the train counters at the commit
-    /// (where the cumulative sink length lives); summing both fabrics'
-    /// counters therefore reproduces the unsplit totals exactly.
+    /// Source half of a merge into the **destination-rooted sink** on
+    /// some node: walk `members` (emitted by `src`) through `src`'s
+    /// **uplink only**, committing the gate once, and report each
+    /// member's `(up_start, up_finish)` so the downlink half can run
+    /// later with [`sink_commit`](Self::sink_commit) — on this instance
+    /// (single-queue engine) or on the destination shard's (sharded
+    /// engine). The per-message/byte counters accrue here (the source
+    /// side), the train counters at the commit (where the cumulative
+    /// sink length lives); summing both halves' counters therefore
+    /// reproduces per-packet totals exactly.
     pub fn sink_inject(
         &mut self,
         src: usize,
@@ -386,18 +353,24 @@ impl Fabric {
         self.gates_mut(src).up.commit_train(up_free, total, up_busy);
     }
 
-    /// Destination half of a split [`extend_sink`](Self::extend_sink):
-    /// walk already-injected members (their uplink times shipped in a
-    /// [`SinkInjection`]) through `dst`'s downlink, committing the gate
-    /// once, and append the completed [`TransferSchedule`]s to `out`.
-    /// Because [`link_schedule`](Self::link_schedule) only reads the
-    /// uplink cursor through `up_start`/`up_finish`, running the two
-    /// halves on separate gate sets reproduces its schedules bit for
-    /// bit: `sink_inject` + `sink_commit` equals `extend_sink`.
+    /// Destination half of a sink merge: walk already-injected members
+    /// (their uplink times from [`sink_inject`](Self::sink_inject))
+    /// through `dst`'s downlink, committing the gate once, and append
+    /// the completed [`TransferSchedule`]s to `out`. A sink accepts
+    /// members from *every* source link and both gate cursors persist
+    /// between calls, so interleaved merges from many sources produce
+    /// the same schedules and gate state as the same global sequence of
+    /// per-packet [`transfer`](Self::transfer) calls — the FIFO merge
+    /// rule is the link rule of [`link_schedule`](Self::link_schedule)
+    /// itself, which reads the uplink only through
+    /// `up_start`/`up_finish`. Sinks exist only for inter-node links:
+    /// shared-memory arrivals ignore the link FIFO.
     ///
-    /// `prior_len` is the cumulative member count of the logical sink,
-    /// with the same ≥2-member retroactive train-accounting rule as
-    /// [`extend_sink`](Self::extend_sink).
+    /// `prior_len` is the member count already merged into this sink
+    /// across all sources; train statistics count the whole incast as
+    /// one cumulative logical train once it reaches two members, no
+    /// matter how many merges delivered them (the members delivered
+    /// before it became a train are credited retroactively).
     pub fn sink_commit(
         &mut self,
         dst: usize,
@@ -431,32 +404,6 @@ impl Fabric {
                 arrival: down_finish.max(m.up_finish + self.cfg.base_latency),
             });
         }
-        self.gates_mut(dst)
-            .down
-            .commit_train(down_free, total, down_busy);
-    }
-
-    /// Shared FIFO link walk for [`transfer_train`](Self::transfer_train)
-    /// and [`extend_sink`](Self::extend_sink): one gate commit per
-    /// direction for the whole burst.
-    fn link_train(
-        &mut self,
-        src: usize,
-        dst: usize,
-        members: &[TrainMember],
-        total: u64,
-        out: &mut Vec<TransferSchedule>,
-    ) {
-        let mut up_free = self.gates_mut(src).up.free_at();
-        let mut down_free = self.gates_mut(dst).down.free_at();
-        let mut up_busy = Ns::ZERO;
-        let mut down_busy = Ns::ZERO;
-        for m in members {
-            out.push(self.link_schedule(&mut up_free, &mut down_free, m.at, m.bytes, m.nreqs));
-            up_busy += self.wire_time(m.bytes, m.nreqs);
-            down_busy += pico_sim::transfer_time(m.bytes, self.cfg.link_bw);
-        }
-        self.gates_mut(src).up.commit_train(up_free, total, up_busy);
         self.gates_mut(dst)
             .down
             .commit_train(down_free, total, down_busy);
@@ -658,274 +605,157 @@ mod tests {
         }
     }
 
-    #[test]
-    fn extend_sink_continues_the_reservation_exactly() {
-        // Delivering a burst flush-by-flush through `extend_sink` must be
-        // indistinguishable — schedules, gate state, stats — from
-        // per-packet `transfer` calls in the same order.
-        let members = [
-            TrainMember {
-                at: Ns(0),
-                bytes: 10_000,
-                nreqs: 1,
-            },
-            TrainMember {
-                at: Ns(100),
-                bytes: 10_000,
-                nreqs: 1,
-            },
-            TrainMember {
-                at: Ns(40_000),
-                bytes: 512,
-                nreqs: 1,
-            },
-            TrainMember {
-                at: Ns(40_050),
-                bytes: 2048,
-                nreqs: 2,
-            },
-            TrainMember {
-                at: Ns(90_000),
-                bytes: 64,
-                nreqs: 1,
-            },
-        ];
-        let mut per_packet = fabric(2);
-        per_packet.transfer(Ns(0), 0, 1, 3000, 1); // pre-load the link
-        let reference: Vec<TransferSchedule> = members
+    fn tm(at: u64, bytes: u64, nreqs: u64) -> TrainMember {
+        TrainMember {
+            at: Ns(at),
+            bytes,
+            nreqs,
+        }
+    }
+
+    /// The same members as per-packet `transfer` calls to `dst`, in the
+    /// flushes' global order.
+    fn per_packet(
+        f: &mut Fabric,
+        flushes: &[(usize, &[TrainMember])],
+        dst: usize,
+    ) -> Vec<TransferSchedule> {
+        flushes
             .iter()
-            .map(|m| per_packet.transfer(m.at, 0, 1, m.bytes, m.nreqs))
-            .collect();
+            .flat_map(|&(src, chunk)| chunk.iter().map(move |m| (src, m)))
+            .map(|(src, m)| f.transfer(m.at, src, dst, m.bytes, m.nreqs))
+            .collect()
+    }
+
+    #[test]
+    fn sink_halves_continue_the_reservation_exactly() {
+        // Delivering a burst flush-by-flush through `sink_inject` +
+        // `sink_commit` on one fabric must be indistinguishable —
+        // schedules, gate state, stats — from per-packet `transfer`
+        // calls in the same order. Uneven flushes: 1 member, then 3,
+        // then 1.
+        let flushes: &[(usize, &[TrainMember])] = &[
+            (0, &[tm(0, 10_000, 1)]),
+            (
+                0,
+                &[tm(100, 10_000, 1), tm(40_000, 512, 1), tm(40_050, 2048, 2)],
+            ),
+            (0, &[tm(90_000, 64, 1)]),
+        ];
+        let mut per_packet_fab = fabric(2);
+        per_packet_fab.transfer(Ns(0), 0, 1, 3000, 1); // pre-load the link
+        let reference = per_packet(&mut per_packet_fab, flushes, 1);
 
         let mut sink = fabric(2);
         sink.transfer(Ns(0), 0, 1, 3000, 1);
         let mut out = Vec::new();
         let mut prior = 0u64;
-        // Uneven flushes: 1 member, then 3, then 1.
-        for chunk in [&members[0..1], &members[1..4], &members[4..5]] {
-            sink.extend_sink(0, 1, chunk, prior, &mut out);
+        for &(src, chunk) in flushes {
+            let mut inj = Vec::new();
+            sink.sink_inject(src, chunk, &mut inj);
+            sink.sink_commit(1, &inj, prior, &mut out);
             prior += chunk.len() as u64;
         }
         assert_eq!(out, reference);
-        assert_eq!(sink.bytes(), per_packet.bytes());
-        assert_eq!(sink.messages(), per_packet.messages());
-        assert_eq!(sink.uplink_busy(0), per_packet.uplink_busy(0));
-        assert_eq!(sink.trains(), 1, "one logical train across extensions");
-        assert_eq!(sink.train_members(), members.len() as u64);
-        assert_eq!(sink.max_train_len(), members.len() as u64);
+        assert_eq!(sink.bytes(), per_packet_fab.bytes());
+        assert_eq!(sink.messages(), per_packet_fab.messages());
+        assert_eq!(sink.uplink_busy(0), per_packet_fab.uplink_busy(0));
+        assert_eq!(sink.trains(), 1, "one logical train across merges");
+        assert_eq!(sink.train_members(), prior);
+        assert_eq!(sink.max_train_len(), prior);
     }
 
     #[test]
     fn sink_merge_is_fifo_exact_against_per_packet_transfers() {
         // An incast: three sources feed node 3's downlink in interleaved
-        // flushes. Merging them through one destination-rooted sink
-        // (`extend_sink`, one cumulative prior_len) must reproduce the
+        // flushes. Merging them through one destination-rooted sink (one
+        // fabric, one cumulative prior_len) must reproduce the
         // schedules, gate state, and byte/message counts of the same
         // global sequence of per-packet `transfer` calls — the
         // FIFO-exactness claim of the sink merge.
         let flushes: &[(usize, &[TrainMember])] = &[
-            (
-                0,
-                &[
-                    TrainMember {
-                        at: Ns(0),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(100),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                ],
-            ),
-            (
-                1,
-                &[TrainMember {
-                    at: Ns(200),
-                    bytes: 4_000,
-                    nreqs: 4,
-                }],
-            ),
-            (
-                2,
-                &[
-                    TrainMember {
-                        at: Ns(5_000),
-                        bytes: 64,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(5_010),
-                        bytes: 2_048,
-                        nreqs: 2,
-                    },
-                ],
-            ),
-            (
-                0,
-                &[TrainMember {
-                    at: Ns(30_000),
-                    bytes: 512,
-                    nreqs: 1,
-                }],
-            ),
-            (
-                1,
-                &[
-                    TrainMember {
-                        at: Ns(30_500),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(30_600),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                ],
-            ),
+            (0, &[tm(0, 10_000, 1), tm(100, 10_000, 1)]),
+            (1, &[tm(200, 4_000, 4)]),
+            (2, &[tm(5_000, 64, 1), tm(5_010, 2_048, 2)]),
+            (0, &[tm(30_000, 512, 1)]),
+            (1, &[tm(30_500, 10_000, 1), tm(30_600, 10_000, 1)]),
         ];
-        let mut per_packet = fabric(4);
-        per_packet.transfer(Ns(0), 0, 3, 3000, 1); // pre-load uplink 0 + downlink 3
-        let reference: Vec<TransferSchedule> = flushes
-            .iter()
-            .flat_map(|&(src, chunk)| chunk.iter().map(move |m| (src, m)))
-            .map(|(src, m)| per_packet.transfer(m.at, src, 3, m.bytes, m.nreqs))
-            .collect();
+        let mut per_packet_fab = fabric(4);
+        per_packet_fab.transfer(Ns(0), 0, 3, 3000, 1); // pre-load uplink 0 + downlink 3
+        let reference = per_packet(&mut per_packet_fab, flushes, 3);
 
         let mut sink = fabric(4);
         sink.transfer(Ns(0), 0, 3, 3000, 1);
         let mut merged = Vec::new();
         let mut prior = 0u64;
         for &(src, chunk) in flushes {
-            sink.extend_sink(src, 3, chunk, prior, &mut merged);
+            let mut inj = Vec::new();
+            sink.sink_inject(src, chunk, &mut inj);
+            sink.sink_commit(3, &inj, prior, &mut merged);
             prior += chunk.len() as u64;
         }
         assert_eq!(merged, reference);
-        assert_eq!(sink.bytes(), per_packet.bytes());
-        assert_eq!(sink.messages(), per_packet.messages());
+        assert_eq!(sink.bytes(), per_packet_fab.bytes());
+        assert_eq!(sink.messages(), per_packet_fab.messages());
         for node in 0..3 {
-            assert_eq!(sink.uplink_busy(node), per_packet.uplink_busy(node));
+            assert_eq!(sink.uplink_busy(node), per_packet_fab.uplink_busy(node));
         }
         // One cumulative train for the whole incast (per-packet: none).
         assert_eq!(sink.trains(), 1);
         assert_eq!(sink.train_members(), prior);
         assert_eq!(sink.max_train_len(), prior);
-        assert_eq!(per_packet.trains(), 0);
+        assert_eq!(per_packet_fab.trains(), 0);
     }
 
     #[test]
-    fn split_sink_halves_reproduce_extend_sink_exactly() {
+    fn split_sink_halves_match_per_packet_transfers_exactly() {
         // The sharded engine runs the uplink half on the source shard's
         // fabric and the downlink half on the destination shard's: the
         // interleaved `sink_inject`/`sink_commit` sequence must give the
         // same schedules, the same gate state, and (summed across the
-        // two instances) the same counters as one fabric doing
-        // `extend_sink`.
+        // two instances) the same byte/message counters as per-packet
+        // `transfer` calls in the same global order on one fabric.
         let flushes: &[(usize, &[TrainMember])] = &[
-            (
-                0,
-                &[
-                    TrainMember {
-                        at: Ns(0),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(100),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                ],
-            ),
-            (
-                1,
-                &[TrainMember {
-                    at: Ns(200),
-                    bytes: 4_000,
-                    nreqs: 4,
-                }],
-            ),
-            (
-                0,
-                &[TrainMember {
-                    at: Ns(30_000),
-                    bytes: 512,
-                    nreqs: 1,
-                }],
-            ),
-            (
-                2,
-                &[
-                    TrainMember {
-                        at: Ns(30_500),
-                        bytes: 64,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(30_510),
-                        bytes: 2_048,
-                        nreqs: 2,
-                    },
-                ],
-            ),
+            (0, &[tm(0, 10_000, 1), tm(100, 10_000, 1)]),
+            (1, &[tm(200, 4_000, 4)]),
+            (0, &[tm(30_000, 512, 1)]),
+            (2, &[tm(30_500, 64, 1), tm(30_510, 2_048, 2)]),
         ];
-        let mut whole = fabric(4);
-        whole.transfer(Ns(0), 0, 3, 3000, 1); // pre-load uplink 0 + downlink 3
-        let mut reference = Vec::new();
-        let mut prior = 0u64;
-        for &(src, chunk) in flushes {
-            whole.extend_sink(src, 3, chunk, prior, &mut reference);
-            prior += chunk.len() as u64;
-        }
+        let mut per_packet_fab = fabric(4);
+        per_packet_fab.transfer(Ns(0), 0, 3, 3000, 1); // pre-load uplink 0 + downlink 3
+        let reference = per_packet(&mut per_packet_fab, flushes, 3);
 
         // Source-shard fabric owns the uplinks, destination-shard fabric
-        // owns downlink 3; the pre-load is replayed as a split too.
+        // owns downlink 3; the pre-load is replayed as a split too and
+        // joins the logical sink.
         let mut src_fab = fabric(4);
         let mut dst_fab = fabric(4);
         let mut pre = Vec::new();
-        src_fab.sink_inject(
-            0,
-            &[TrainMember {
-                at: Ns(0),
-                bytes: 3000,
-                nreqs: 1,
-            }],
-            &mut pre,
-        );
+        src_fab.sink_inject(0, &[tm(0, 3000, 1)], &mut pre);
         let mut pre_sched = Vec::new();
         dst_fab.sink_commit(3, &pre, 0, &mut pre_sched);
         assert_eq!(pre_sched.len(), 1);
         let mut split = Vec::new();
-        let mut prior = 1u64; // the pre-load joined the logical sink
-        let mut whole2 = fabric(4);
-        whole2.transfer(Ns(0), 0, 3, 3000, 1);
-        let mut reference2 = Vec::new();
-        let mut p2 = 0u64;
+        let mut prior = 1u64;
         for &(src, chunk) in flushes {
-            // Reference continuing the pre-load as sink history too, so
-            // both sides share prior_len bookkeeping.
-            whole2.extend_sink(src, 3, chunk, p2 + 1, &mut reference2);
-            p2 += chunk.len() as u64;
             let mut inj = Vec::new();
             src_fab.sink_inject(src, chunk, &mut inj);
             dst_fab.sink_commit(3, &inj, prior, &mut split);
             prior += chunk.len() as u64;
         }
-        assert_eq!(split, reference2);
-        // And against the plain reference the arrivals agree as well
-        // (prior_len only affects stats, never schedules).
         assert_eq!(split, reference);
         for node in 0..3 {
-            assert_eq!(src_fab.uplink_busy(node), whole.uplink_busy(node));
+            assert_eq!(src_fab.uplink_busy(node), per_packet_fab.uplink_busy(node));
         }
         // All message/byte counting happens on the source half.
-        assert_eq!(src_fab.bytes() + dst_fab.bytes(), whole.bytes());
-        assert_eq!(src_fab.messages(), whole.messages());
+        assert_eq!(src_fab.bytes() + dst_fab.bytes(), per_packet_fab.bytes());
+        assert_eq!(src_fab.messages(), per_packet_fab.messages());
+        assert_eq!(dst_fab.messages(), 0);
+        // One cumulative train, pre-load included (per-packet: none).
         assert_eq!(dst_fab.trains(), 1);
         assert_eq!(dst_fab.train_members(), prior);
         assert_eq!(dst_fab.max_train_len(), prior);
+        assert_eq!(per_packet_fab.trains(), 0);
     }
 
     fn shard_fabric(nodes: usize, base: usize, count: usize) -> Fabric {
@@ -975,49 +805,17 @@ mod tests {
     #[test]
     fn shard_local_fabrics_reproduce_dense_schedules_exactly() {
         // The sharded engine's gate walk on two shard-local fabrics
-        // (each holding its own node range only) must equal the dense
-        // full-cluster fabric bit for bit: sources 0/1 (shard [0,2))
-        // inject, destination 3 (shard [2,4)) commits.
+        // (each holding its own node range only) must equal per-packet
+        // transfers on the dense full-cluster fabric bit for bit:
+        // sources 0/1 (shard [0,2)) inject, destination 3 (shard [2,4))
+        // commits.
         let flushes: &[(usize, &[TrainMember])] = &[
-            (
-                0,
-                &[
-                    TrainMember {
-                        at: Ns(0),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                    TrainMember {
-                        at: Ns(100),
-                        bytes: 10_000,
-                        nreqs: 1,
-                    },
-                ],
-            ),
-            (
-                1,
-                &[TrainMember {
-                    at: Ns(200),
-                    bytes: 4_000,
-                    nreqs: 4,
-                }],
-            ),
-            (
-                0,
-                &[TrainMember {
-                    at: Ns(30_000),
-                    bytes: 512,
-                    nreqs: 1,
-                }],
-            ),
+            (0, &[tm(0, 10_000, 1), tm(100, 10_000, 1)]),
+            (1, &[tm(200, 4_000, 4)]),
+            (0, &[tm(30_000, 512, 1)]),
         ];
         let mut whole = fabric(4);
-        let mut reference = Vec::new();
-        let mut prior = 0u64;
-        for &(src, chunk) in flushes {
-            whole.extend_sink(src, 3, chunk, prior, &mut reference);
-            prior += chunk.len() as u64;
-        }
+        let reference = per_packet(&mut whole, flushes, 3);
         let mut src_shard = shard_fabric(4, 0, 2);
         let mut dst_shard = shard_fabric(4, 2, 2);
         let mut split = Vec::new();

@@ -47,6 +47,10 @@ const OCC_WORDS: usize = NSLOTS / 64;
 /// `2^(SLOT_BITS + coarse_bits)` ns (~64 µs at the default). Runtime-
 /// tunable per queue via [`EventQueue::with_coarse_bits`].
 const COARSE_BITS: u32 = 6;
+/// Largest coarse-page width [`EventQueue::with_coarse_bits`] accepts
+/// (the smallest is 1): a coarse page may not be wider than the whole
+/// fine ring.
+pub const MAX_COARSE_BITS: u32 = SLOT_BITS;
 /// Number of coarse buckets; coarse horizon ≈ 67 ms.
 const NSLOTS2: usize = 1 << 10;
 /// Words of the coarse bucket-occupancy bitmap.
@@ -194,14 +198,15 @@ impl<E> EventQueue<E> {
     /// ns). Wider pages extend the horizon at the cost of coarser cascade
     /// batches; pop order is identical for every width (checked against
     /// [`HeapEventQueue`] in the tests). `coarse_bits` may not exceed
-    /// `SLOT_BITS`: a coarse page wider than the whole fine ring would
-    /// round `fine_end` below the cursor and strand events in the coarse
+    /// [`MAX_COARSE_BITS`] (= `SLOT_BITS`): a coarse page wider than the
+    /// whole fine ring would round `fine_end` below the cursor and strand
+    /// events in the coarse
     /// ring (the fine ring must always span at least one coarse page so
     /// advancing the window is guaranteed to cascade the minimum bucket).
     pub fn with_coarse_bits(coarse_bits: u32) -> Self {
         assert!(
-            (1..=SLOT_BITS).contains(&coarse_bits),
-            "coarse_bits out of range (1..={SLOT_BITS})"
+            (1..=MAX_COARSE_BITS).contains(&coarse_bits),
+            "coarse_bits out of range (1..={MAX_COARSE_BITS})"
         );
         EventQueue {
             run: VecDeque::new(),

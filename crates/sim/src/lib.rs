@@ -40,7 +40,7 @@ pub mod sketch;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, HeapEventQueue, WheelProfile};
+pub use event::{EventQueue, HeapEventQueue, WheelProfile, MAX_COARSE_BITS};
 pub use fastmap::FastMap;
 pub use json::Json;
 pub use par::{default_threads, par_map, par_map_threads, SpinBarrier, WindowSync};

@@ -578,6 +578,10 @@ fn sharded_engine_matches_single_queue() {
             let label = format!("case {case} {:?} {} nodes {nodes}", app, os.label());
             assert_eq!(shard.shards, nodes, "{label}");
             assert_eq!(single.shards, 1, "{label}");
+            // Each node's gate state materializes exactly once across
+            // all shards: no shard touched a remote node's gates (the
+            // inject/commit split keeps every gate access shard-local).
+            assert_eq!(shard.shard_gate_nodes, nodes as u64, "{label}");
             assert_eq!(single.rank_finish.len(), (nodes * rpn) as usize, "{label}");
             assert_eq!(shard.rank_finish.len(), (nodes * rpn) as usize, "{label}");
             assert_eq!(
@@ -674,7 +678,8 @@ fn sharded_engine_bit_identical_without_deferral() {
 
 /// The sharded engine's partition depends only on the shard count, so
 /// the worker thread count is invisible in the results: 1, 2, 4 and 8
-/// threads produce byte-identical digests.
+/// threads produce byte-identical digests, and every shard holds gate
+/// state for its own nodes only.
 #[test]
 fn sharded_identical_across_thread_counts() {
     use pico_apps::{App, JobShape};
@@ -694,6 +699,7 @@ fn sharded_identical_across_thread_counts() {
         c.threads = Some(threads);
         let res = World::new(c, App::Umt2013, 2).run();
         assert_eq!(res.shards, 4, "threads {threads}");
+        assert_eq!(res.shard_gate_nodes, 4, "threads {threads}");
         engine_digest(&res)
     };
     let one = run(1);
@@ -811,114 +817,6 @@ fn sketch_quantile_error_bound() {
                 "case {case} q={q}: sketch {got} vs exact {truth}"
             );
         }
-    }
-}
-
-/// The shard-local sparse state layout against the full-cluster dense
-/// reference (`cfg.dense_shard_state`), across the same application mix
-/// and OS configs as the engine equivalence test, at 1/2/4/8 workers.
-///
-/// The sparse layout sizes each shard's fabric gates, `node_pending`
-/// maps and sink roots to the shard's own node range (a remote gate
-/// touch panics); the dense layout preallocates all of them for the
-/// whole cluster in every shard. A shard never moves another shard's
-/// gates, so the two must agree on *every* engine counter — and the
-/// gate-state observables must show the sparse layout allocating
-/// exactly the cluster's nodes once in total, versus shards × nodes
-/// under the dense layout.
-#[test]
-fn sparse_shard_state_matches_dense_layout() {
-    use pico_apps::{App, JobShape};
-    use pico_cluster::{ClusterConfig, EngineMode, FabricMode, OsConfig, World};
-
-    let apps = [
-        (
-            App::PingPong {
-                bytes: 8 * 1024,
-                reps: 6,
-            },
-            2,
-            1,
-            1u32,
-        ),
-        (
-            App::PingPong {
-                bytes: 2 << 20,
-                reps: 3,
-            },
-            2,
-            1,
-            1,
-        ),
-        (App::Umt2013, 4, 2, 2),
-        (App::Hacc, 4, 2, 2),
-        (App::Nekbone, 4, 2, 1),
-        (App::Lammps, 2, 2, 1),
-    ];
-    let mut case = 0u64;
-    for (app, nodes, rpn, iters) in apps {
-        for os in OsConfig::ALL {
-            let seed = case_rng(0x5BAF_5E11, case).next_u64();
-            case += 1;
-            let shape = JobShape {
-                nodes,
-                ranks_per_node: rpn,
-            };
-            let mut cfg = ClusterConfig::paper(os, shape);
-            cfg.seed = seed;
-            cfg.batch_fabric = FabricMode::Incast;
-            cfg.record_per_rank = true;
-            cfg.engine = EngineMode::Sharded;
-            cfg.threads = Some(2);
-            cfg.shards = Some(nodes as usize);
-            assert!(!cfg.dense_shard_state, "sparse is the default");
-            let mut dense_cfg = cfg.clone();
-            dense_cfg.dense_shard_state = true;
-            let sparse = World::new(cfg, app, iters).run();
-            let dense = World::new(dense_cfg, app, iters).run();
-            let label = format!("case {case} {app:?} {} nodes {nodes}", os.label());
-            assert_eq!(
-                engine_digest(&sparse),
-                engine_digest(&dense),
-                "{label}: sparse vs dense shard state"
-            );
-            // Gate-state observables: the sparse run materializes each
-            // node's gates exactly once across all shards (no shard
-            // ever touched a remote node's gates — the inject/commit
-            // split keeps every gate access shard-local); the dense
-            // run pays nodes × shards.
-            assert_eq!(sparse.shard_gate_nodes, nodes as u64, "{label}");
-            assert_eq!(dense.shard_gate_nodes, (nodes * nodes) as u64, "{label}");
-            assert!(
-                sparse.shard_state_bytes < dense.shard_state_bytes,
-                "{label}: sparse {} >= dense {}",
-                sparse.shard_state_bytes,
-                dense.shard_state_bytes
-            );
-        }
-    }
-
-    // Worker sweep: both layouts are worker-count-invariant and equal
-    // to each other at every thread count.
-    let shape = JobShape {
-        nodes: 4,
-        ranks_per_node: 2,
-    };
-    let mut cfg = ClusterConfig::paper(OsConfig::McKernelHfi, shape);
-    cfg.batch_fabric = FabricMode::Incast;
-    cfg.engine = EngineMode::Sharded;
-    cfg.record_per_rank = true;
-    cfg.shards = Some(4);
-    let run = |threads: usize, dense: bool| {
-        let mut c = cfg.clone();
-        c.threads = Some(threads);
-        c.dense_shard_state = dense;
-        engine_digest(&World::new(c, App::Umt2013, 2).run())
-    };
-    let reference = run(1, false);
-    for threads in [1usize, 2, 4, 8] {
-        assert_eq!(run(threads, false), reference, "sparse, {threads} threads");
-        assert_eq!(run(threads, true), reference, "dense, {threads} threads");
     }
 }
 
