@@ -44,7 +44,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== rustfmt check =="
-cargo fmt --all --check || echo "(fmt drift, non-fatal)"
+cargo fmt --all --check
 
 echo "== simbench smoke gate (queue speedup, coalescing vs per-packet reference, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke

@@ -33,6 +33,7 @@ use pico_sim::{
     WindowSync,
 };
 use picodriver::{CallbackKind, CallbackRef, CallbackTable, HfiFastPath, UnifiedKernelSpace};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 const MMAP_BASE: VirtAddr = VirtAddr(0x7000_0000_0000);
@@ -80,8 +81,8 @@ enum TrainSource {
     Event,
     /// The pending members of `sinks[i]` (the destination node's merged
     /// incast flow): the remainder goes back into the sink (lazy
-    /// resplit) and re-defers as its soft entry, so later appends keep
-    /// extending it in place.
+    /// resplit) as the same ring, with no copy, and re-defers as its soft
+    /// entry, so later appends keep extending it in place.
     Sink(usize),
 }
 
@@ -162,8 +163,10 @@ struct SinkSlot {
     /// Committed-but-undelivered members, sorted by `(arrival, seq)` —
     /// cross-source arrivals are *not* monotone in commit order (a
     /// slow-uplink member's arrival can be latency-dominated past a
-    /// later member's downlink-dominated one), so appends merge.
-    members: Vec<TrainPacket>,
+    /// later member's downlink-dominated one), so appends merge
+    /// ([`merge_burst`]). A ring: delivery pops the front, and a pause
+    /// hands the undelivered rest back as the same buffer.
+    members: VecDeque<TrainPacket>,
     /// Whether a `SoftKind::Sink` entry for `members` is on the soft
     /// schedule (with a matching `node_pending` entry).
     pending: bool,
@@ -171,8 +174,10 @@ struct SinkSlot {
     /// when a merge introduces an earlier first arrival.
     entry_at: Ns,
     /// Members accumulated by the open sink so far (the `sink_commit`
-    /// continuation length across all sources; resets on close).
-    len: u64,
+    /// continuation length across all sources; resets on close). At most
+    /// `flow_member_cap` plus one burst, so 32 bits suffice and the slot
+    /// stays 56 bytes next to the ring.
+    len: u32,
     /// Last append or delivery on this sink, for linger decisions.
     last_activity: Ns,
     /// Whether an `Ev::SinkClose` reaper event is in the queue.
@@ -496,6 +501,30 @@ fn shrink_scratch<T>(v: &mut Vec<T>) {
     if v.capacity() > 4 * SCRATCH_KEEP {
         v.shrink_to(SCRATCH_KEEP);
     }
+}
+
+/// Merge the burst appended at `ring[old..]` into the sorted members
+/// before it. A burst is single-source, so its keys are monotone: only
+/// the old members at or after the burst head's position can interleave
+/// with it. Binary-search that position and sort the suffix from there
+/// (keys are unique, so the unstable sort is deterministic).
+fn merge_burst<T, K: Ord>(ring: &mut VecDeque<T>, old: usize, key: impl Fn(&T) -> K) {
+    let Some(head) = ring.get(old).map(&key) else {
+        return;
+    };
+    // Every burst member is `>= head`, so the predicate partitions the
+    // whole ring.
+    let from = ring.partition_point(|x| key(x) < head);
+    if from == old {
+        return;
+    }
+    let split = ring.as_slices().0.len();
+    let suffix = if from >= split {
+        &mut ring.as_mut_slices().1[from - split..]
+    } else {
+        &mut ring.make_contiguous()[from..]
+    };
+    suffix.sort_unstable_by_key(key);
 }
 
 /// The simulator.
@@ -1414,7 +1443,7 @@ impl World {
                 }
             }
             Ev::PacketTrain { members } => {
-                self.on_packet_train(members, TrainSource::Event);
+                self.on_packet_train(VecDeque::from(members), TrainSource::Event);
             }
             Ev::SdmaSentBatch { members } => {
                 // Windows of one message complete together: advance each
@@ -1789,7 +1818,7 @@ impl World {
     fn close_sink(&mut self, idx: usize) {
         let si = idx - self.node_base;
         if self.sinks[si].open {
-            self.max_sink_len = self.max_sink_len.max(self.sinks[si].len);
+            self.max_sink_len = self.max_sink_len.max(u64::from(self.sinks[si].len));
             self.sinks[si].open = false;
             self.sinks[si].len = 0;
         }
@@ -1911,21 +1940,15 @@ impl World {
         }
         let mut scheds = std::mem::take(&mut self.sched_scratch);
         scheds.clear();
-        let prior = self.sinks[si].len;
+        let prior = u64::from(self.sinks[si].len);
         self.fabric.sink_commit(idx, inj, prior, &mut scheds);
         let n = inj.len() as u64;
-        // One burst is single-source, so its arrivals are monotone; only
-        // the boundary against members already pending (other sources)
-        // can put the new head out of order.
-        let merge_needed = self.sinks[si]
-            .members
-            .last()
-            .is_some_and(|tail| (scheds[0].arrival, self.commit_seq) < (tail.arrival, tail.seq));
+        let old = self.sinks[si].members.len();
         for (((dst, src, packet), s), i) in members.zip(&scheds).zip(inj) {
             self.digest_arrival(s.arrival, dst, src, i.bytes);
             let seq = self.commit_seq;
             self.commit_seq += 1;
-            self.sinks[si].members.push(TrainPacket {
+            self.sinks[si].members.push_back(TrainPacket {
                 arrival: s.arrival,
                 seq,
                 dst,
@@ -1933,16 +1956,11 @@ impl World {
                 packet,
             });
         }
-        if merge_needed {
-            // `seq` is unique per world, so the key is total — unstable
-            // sort is deterministic.
-            self.sinks[si]
-                .members
-                .sort_unstable_by_key(|p| (p.arrival, p.seq));
-        }
-        self.sinks[si].len += n;
+        merge_burst(&mut self.sinks[si].members, old, |p| (p.arrival, p.seq));
+        self.sinks[si].len =
+            u32::try_from(prior + n).expect("an open sink holds fewer than 2^32 members");
         self.sink_members_total += n;
-        self.max_sink_len = self.max_sink_len.max(self.sinks[si].len);
+        self.max_sink_len = self.max_sink_len.max(prior + n);
         self.sinks[si].last_activity = now;
         let head = self.sinks[si].members[0].arrival;
         if !self.sinks[si].pending {
@@ -2012,14 +2030,13 @@ impl World {
     ///   be delivered early or out of order: the remainder of the train
     ///   is handed back — to the soft schedule for a plain train, or
     ///   into the sink slot (lazy resplit) for a sink.
-    fn on_packet_train(&mut self, members: Vec<TrainPacket>, source: TrainSource) {
+    fn on_packet_train(&mut self, mut members: VecDeque<TrainPacket>, source: TrainSource) {
         self.train_epoch += 1;
         let epoch = self.train_epoch;
         let t = members[0].arrival;
         let mut engaged = std::mem::take(&mut self.engaged_scratch);
         engaged.clear();
-        let mut it = members.into_iter();
-        while let Some(m) = it.next() {
+        while let Some(m) = members.pop_front() {
             let dst = m.dst;
             if self.ranks[(dst) - self.rank_base].done {
                 continue;
@@ -2093,25 +2110,26 @@ impl World {
             // fresh dispatch), while a sink's suffix stays in its slot and
             // merely re-defers the soft entry (a lazy pause, accumulator
             // preserved).
-            let rest: Vec<TrainPacket> = std::iter::once(m).chain(it).collect();
-            let at = rest[0].arrival;
+            let at = m.arrival;
+            members.push_front(m);
             match source {
                 TrainSource::Sink(i) => {
                     // Lazy resplit: only the suffix after the conflict
                     // (members from every source, still merged) goes back
-                    // into the sink and re-defers as its single soft
-                    // entry; later appends extend it in place.
+                    // into the sink — the same ring, nothing copied — and
+                    // re-defers as its single soft entry; later appends
+                    // extend it in place.
                     self.sink_pauses += 1;
                     let si = i - self.node_base;
                     debug_assert!(self.sinks[si].members.is_empty());
                     self.sinks[si].entry_at = at;
-                    self.sinks[si].members = rest;
+                    self.sinks[si].members = std::mem::take(&mut members);
                     self.sinks[si].pending = true;
                     self.push_soft(at, SoftKind::Sink(i));
                 }
-                TrainSource::Event if rest.len() == 1 => {
+                TrainSource::Event if members.len() == 1 => {
                     self.resplits += 1;
-                    let p = rest.into_iter().next().expect("one member");
+                    let p = members.pop_front().expect("one member");
                     self.push_soft(
                         at,
                         SoftKind::Ev(Ev::Packet {
@@ -2123,7 +2141,8 @@ impl World {
                 }
                 TrainSource::Event => {
                     self.resplits += 1;
-                    self.push_soft(at, SoftKind::Ev(Ev::PacketTrain { members: rest }));
+                    let members = Vec::from(std::mem::take(&mut members));
+                    self.push_soft(at, SoftKind::Ev(Ev::PacketTrain { members }));
                 }
             }
             break;
@@ -2923,7 +2942,7 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
         let mut ms = w.max_sink_len;
         for s in &w.sinks {
             if s.open {
-                ms = ms.max(s.len);
+                ms = ms.max(u64::from(s.len));
             }
         }
         max_sink = max_sink.max(ms);
@@ -3004,4 +3023,77 @@ pub fn paper_config(
 /// The AppSpec for reporting purposes.
 pub fn app_spec(app: App, shape: JobShape) -> AppSpec {
     pico_apps::spec(app, shape)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pico_sim::Rng;
+
+    /// The ring's extra head index is paid for by the 32-bit member
+    /// count: resident shard state stays what it was with a `Vec`.
+    #[test]
+    fn sink_slot_stays_56_bytes() {
+        assert_eq!(std::mem::size_of::<SinkSlot>(), 56);
+    }
+
+    /// Seeded rings (wrapped after `pop_front` or not) each take a
+    /// monotone burst whose head lands before, inside or after the old
+    /// members: the suffix merge equals a full `(arrival, seq)` sort.
+    #[test]
+    fn merge_burst_matches_full_sort() {
+        let (mut wrapped, mut before, mut inside, mut after) = (0, 0, 0, 0);
+        for case in 0..2000u64 {
+            let mut rng = Rng::new(0x5e_4e ^ case);
+            let mut ring: VecDeque<(u64, u64)> =
+                VecDeque::with_capacity(1 + rng.gen_range(64) as usize);
+            let cap = ring.capacity() as u64;
+            let (mut arrival, mut seq) = (0u64, 0u64);
+            let mut push = |ring: &mut VecDeque<(u64, u64)>, rng: &mut Rng| {
+                arrival += rng.gen_range(30);
+                ring.push_back((arrival, seq));
+                seq += 1;
+            };
+            // Fill, deliver part of the front, and append again: past the
+            // end of the storage the appends wrap around to the front.
+            for _ in 0..rng.gen_range(cap + 1) {
+                push(&mut ring, &mut rng);
+            }
+            for _ in 0..rng.gen_range(ring.len() as u64 + 1) {
+                ring.pop_front();
+            }
+            for _ in 0..rng.gen_range(cap - ring.len() as u64 + 1) {
+                push(&mut ring, &mut rng);
+            }
+            let old = ring.len();
+            let head = (rng.gen_range(arrival + 60), seq);
+            let mut a = head.0;
+            for _ in 0..1 + rng.gen_range(40) {
+                ring.push_back((a, seq));
+                seq += 1;
+                a += rng.gen_range(20);
+            }
+            if !ring.as_slices().1.is_empty() {
+                wrapped += 1;
+            }
+            match ring.range(..old).filter(|&&x| x < head).count() {
+                0 if old > 0 => before += 1,
+                p if p == old => after += 1,
+                _ => inside += 1,
+            }
+            let mut want: Vec<(u64, u64)> = ring.iter().copied().collect();
+            want.sort_unstable();
+            merge_burst(&mut ring, old, |&x| x);
+            assert_eq!(
+                ring.iter().copied().collect::<Vec<_>>(),
+                want,
+                "case {case}"
+            );
+        }
+        assert!(wrapped > 100, "{wrapped} wrapped rings");
+        assert!(
+            before > 100 && inside > 100 && after > 100,
+            "{before} {inside} {after}"
+        );
+    }
 }

@@ -9,9 +9,10 @@
 //! concentrates in `Wait` exactly as the paper's profiles show.
 
 use crate::coll;
+use crate::completion::CompletionSet;
 use crate::types::{BufId, HostOp, MpiCall, Op, StepResult};
 use pico_psm::{Endpoint, MqHandle, Tag};
-use pico_sim::{FastMap, Ns, TimeByKey};
+use pico_sim::{Ns, TimeByKey};
 
 /// Marker for "any source" in [`Op::Irecv`].
 pub const ANY_SOURCE: u32 = u32::MAX;
@@ -84,6 +85,9 @@ enum Phase {
     WaitingSet {
         call: MpiCall,
         set: Vec<MqHandle>,
+        /// Prefix of `set` already seen completed (a completion stays
+        /// until its wait consumes it, so each wake resumes the scan).
+        done: usize,
     },
     /// Host is performing InitDevice; barrier follows.
     InitPending {
@@ -108,7 +112,10 @@ pub struct MpiRank {
     pc: usize,
     phase: Phase,
     outstanding: Vec<MqHandle>,
-    completed: FastMap<MqHandle, ()>,
+    completed: CompletionSet,
+    /// Spare wait-set buffer: a blocking `Send`/`Recv` takes it and every
+    /// finished wait hands its set back, so a wait allocates nothing.
+    wait_pool: Vec<MqHandle>,
     coll_seq: u64,
     in_call: Option<(MpiCall, Ns)>,
     profile: TimeByKey<MpiCall>,
@@ -127,7 +134,8 @@ impl MpiRank {
             pc: 0,
             phase: Phase::Ready,
             outstanding: Vec::new(),
-            completed: FastMap::new(),
+            completed: CompletionSet::default(),
+            wait_pool: Vec::new(),
             coll_seq: 0,
             in_call: None,
             profile: TimeByKey::new(),
@@ -154,7 +162,7 @@ impl MpiRank {
 
     /// A PSM request completed.
     pub fn on_completion(&mut self, h: MqHandle) {
-        self.completed.insert(h, ());
+        self.completed.insert(h);
     }
 
     /// Debug string: where the engine is stuck.
@@ -165,14 +173,13 @@ impl MpiRank {
                 "Coll({:?} round {}/{} pending {:?})",
                 st.call, st.round, st.rounds, st.pending
             ),
-            Phase::WaitingSet { call, set } => format!("WaitingSet({call:?} {set:?})"),
+            Phase::WaitingSet { call, set, .. } => format!("WaitingSet({call:?} {set:?})"),
             Phase::InitPending { .. } => "InitPending".to_string(),
             Phase::CallCompute { .. } => "CallCompute".to_string(),
             Phase::FiniPending => "FiniPending".to_string(),
             Phase::Done => "Done".to_string(),
         };
-        let mut completed: Vec<MqHandle> = self.completed.iter().map(|(&h, _)| h).collect();
-        completed.sort_unstable();
+        let completed: Vec<MqHandle> = self.completed.iter().collect();
         format!(
             "pc={}/{} phase={} outstanding={:?} completed={:?}",
             self.pc,
@@ -181,6 +188,29 @@ impl MpiRank {
             self.outstanding,
             completed
         )
+    }
+
+    /// Block in `call` until `h` completes.
+    fn wait_on(&mut self, call: MpiCall, h: MqHandle) {
+        let mut set = std::mem::take(&mut self.wait_pool);
+        set.push(h);
+        self.phase = Phase::WaitingSet { call, set, done: 0 };
+    }
+
+    /// Block in `call` until every outstanding request completes. The
+    /// spare buffer becomes the new (empty) outstanding list.
+    fn wait_outstanding(&mut self, call: MpiCall) {
+        let set = std::mem::replace(&mut self.outstanding, std::mem::take(&mut self.wait_pool));
+        self.phase = Phase::WaitingSet { call, set, done: 0 };
+    }
+
+    /// Restart the completion index at the endpoint's next handle once no
+    /// request is live (call right after a wait consumed its set), so it
+    /// stays as small as the outstanding window.
+    fn rebase_if_idle(completed: &mut CompletionSet, outstanding: &[MqHandle], ep: &Endpoint) {
+        if completed.is_empty() && outstanding.is_empty() {
+            completed.rebase(ep.next_handle());
+        }
     }
 
     fn open_call(&mut self, call: MpiCall, now: Ns) {
@@ -337,10 +367,7 @@ impl MpiRank {
                             let payload = self.payload(tag, bytes);
                             let h = ep.isend(dst, Tag(tag as u64), bufs.va(buf), bytes, payload);
                             self.open_call(MpiCall::Send, now);
-                            self.phase = Phase::WaitingSet {
-                                call: MpiCall::Send,
-                                set: vec![h],
-                            };
+                            self.wait_on(MpiCall::Send, h);
                         }
                         Op::Recv {
                             src,
@@ -351,26 +378,15 @@ impl MpiRank {
                             let src = (src != ANY_SOURCE).then_some(src);
                             let h = ep.irecv(src, Tag(tag as u64), bufs.va(buf), bytes);
                             self.open_call(MpiCall::Recv, now);
-                            self.phase = Phase::WaitingSet {
-                                call: MpiCall::Recv,
-                                set: vec![h],
-                            };
+                            self.wait_on(MpiCall::Recv, h);
                         }
                         Op::WaitAll => {
-                            let set = std::mem::take(&mut self.outstanding);
                             self.open_call(MpiCall::Waitall, now);
-                            self.phase = Phase::WaitingSet {
-                                call: MpiCall::Waitall,
-                                set,
-                            };
+                            self.wait_outstanding(MpiCall::Waitall);
                         }
                         Op::WaitEach => {
-                            let set = std::mem::take(&mut self.outstanding);
                             self.open_call(MpiCall::Wait, now);
-                            self.phase = Phase::WaitingSet {
-                                call: MpiCall::Wait,
-                                set,
-                            };
+                            self.wait_outstanding(MpiCall::Wait);
                         }
                         Op::Barrier => {
                             let b = self.cfg.barrier_bytes;
@@ -494,22 +510,32 @@ impl MpiRank {
                     }
                     self.phase = Phase::Coll(st);
                 }
-                Phase::WaitingSet { call: _, set } => {
-                    if set.iter().all(|h| self.completed.contains_key(h)) {
-                        for h in set.iter() {
-                            self.completed.remove(h);
-                        }
-                        self.phase = Phase::Ready;
-                        self.close_call(now);
-                    } else {
+                Phase::WaitingSet { set, done, .. } => {
+                    while *done < set.len() && self.completed.contains(set[*done]) {
+                        *done += 1;
+                    }
+                    if *done < set.len() {
                         return StepResult::Blocked;
                     }
+                    let Phase::WaitingSet { mut set, .. } =
+                        std::mem::replace(&mut self.phase, Phase::Ready)
+                    else {
+                        unreachable!()
+                    };
+                    for &h in &set {
+                        self.completed.remove(h);
+                    }
+                    set.clear();
+                    self.wait_pool = set;
+                    Self::rebase_if_idle(&mut self.completed, &self.outstanding, ep);
+                    self.close_call(now);
                 }
                 Phase::Coll(st) => {
-                    if st.pending.iter().all(|h| self.completed.contains_key(h)) {
-                        for h in st.pending.iter() {
+                    if st.pending.iter().all(|&h| self.completed.contains(h)) {
+                        for &h in &st.pending {
                             self.completed.remove(h);
                         }
+                        Self::rebase_if_idle(&mut self.completed, &self.outstanding, ep);
                         st.round += 1;
                         if st.round >= st.rounds {
                             let call = st.call;
@@ -969,5 +995,45 @@ mod tests {
             assert_eq!(r.profile().get(&MpiCall::Barrier).0, 10);
             assert_eq!(r.profile().get(&MpiCall::Allreduce).0, 10);
         }
+    }
+
+    #[test]
+    fn debug_state_lists_completions_sorted() {
+        let recv = |tag| Op::Irecv {
+            src: 1,
+            tag,
+            bytes: 8,
+            buf: 0,
+        };
+        let program = vec![recv(1), recv(2), recv(3), Op::WaitAll];
+        let mut rank = MpiRank::new(0, 2, EngineConfig::default(), program);
+        let mut ep = Endpoint::new(0, PsmConfig::default());
+        let bufs = BufTable {
+            bufs: vec![0x1000],
+            scratch: 0x2000,
+        };
+        assert!(matches!(
+            rank.step(Ns::ZERO, &mut ep, &bufs),
+            StepResult::Blocked
+        ));
+        // Completions arrive out of handle order.
+        rank.on_completion(MqHandle(3));
+        rank.on_completion(MqHandle(1));
+        assert!(matches!(
+            rank.step(Ns::ZERO, &mut ep, &bufs),
+            StepResult::Blocked
+        ));
+        assert!(
+            rank.debug_state()
+                .ends_with("completed=[MqHandle(1), MqHandle(3)]"),
+            "{}",
+            rank.debug_state()
+        );
+        rank.on_completion(MqHandle(2));
+        assert!(matches!(
+            rank.step(Ns::ZERO, &mut ep, &bufs),
+            StepResult::Done
+        ));
+        assert!(rank.debug_state().ends_with("completed=[]"));
     }
 }

@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod coll;
+mod completion;
 pub mod engine;
 pub mod types;
 

@@ -135,6 +135,12 @@ impl Endpoint {
         (self.mq.posted_len(), self.mq.unexpected_len())
     }
 
+    /// The handle the next `isend`/`irecv` will return (handles are
+    /// allocated densely, in call order).
+    pub fn next_handle(&self) -> MqHandle {
+        MqHandle(self.next_handle)
+    }
+
     fn alloc_handle(&mut self) -> MqHandle {
         let h = MqHandle(self.next_handle);
         self.next_handle += 1;

@@ -257,7 +257,8 @@ fn qbox_digests_pinned() {
 /// so the PSM tag matching runs deep queues end to end. The values were
 /// captured at commit 481a4fe, with the linear-scan matched queue that
 /// the per-source indexed queue replaced; any change in matching order
-/// or timing moves them.
+/// or timing moves them. Some sink deliveries pause, so the digests also
+/// witness that a paused sink keeps its undelivered members in order.
 #[test]
 fn incast_digests_pinned() {
     let app = App::Incast {
@@ -284,6 +285,7 @@ fn incast_digests_pinned() {
         cfg.seed = seed;
         let r = run_app(cfg, app, 1);
         assert_eq!(r.ranks_done, 32, "seed {seed}");
+        assert!(r.fabric_sink_pauses > 0, "seed {seed}");
         assert_eq!(
             (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
             (finish, arrival, bulk),
@@ -301,7 +303,8 @@ fn incast_digests_pinned() {
 /// digests equal to the per-link flow model. On the 8-node fan-in the
 /// bulk digest also equals the per-packet reference (`simbench` gates
 /// that); on the 18-node incast it differs from the reference, as the
-/// per-link flow and per-flush train models did.
+/// per-link flow and per-flush train models did. Both runs pause sink
+/// deliveries, so the digests also cover the paused-sink path.
 #[test]
 fn fanin_digests_pinned() {
     let bytes = 8 * 1024;
@@ -339,6 +342,7 @@ fn fanin_digests_pinned() {
         let r = run_app(cfg, app, 1);
         assert_eq!(r.ranks_done, nodes, "{nodes} nodes");
         assert_eq!(r.clamped_events, 0, "{nodes} nodes");
+        assert!(r.fabric_sink_pauses > 0, "{nodes} nodes");
         assert_eq!(
             (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
             (finish, arrival, bulk),
