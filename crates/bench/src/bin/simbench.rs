@@ -403,7 +403,7 @@ fn incast_gate() -> Vec<Json> {
     for (pattern, app, nodes, rpn, linger, min_ratio, want_digest) in configs {
         let mut cfg = paper_config(OsConfig::McKernelHfi, app, nodes, rpn);
         if let Some(lg) = linger {
-            cfg.flow_linger_ns = lg;
+            cfg.sink_linger_ns = lg;
         }
         let (ri, roff) = against_reference(pattern, cfg, app, 1);
         let ratio = roff.sim_events as f64 / ri.sim_events as f64;

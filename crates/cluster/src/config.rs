@@ -42,12 +42,13 @@ pub enum FabricMode {
     PerPacket,
     /// Destination-rooted incast flow graph: each dispatch's same-link
     /// burst becomes one fabric reservation, and one sink per destination
-    /// node merges members from *all* source links into a single soft
-    /// schedule over the shared downlink (`Fabric::sink_inject` on the
+    /// node merges members from *all* source links into a single
+    /// delivery over the shared downlink (`Fabric::sink_inject` on the
     /// source's uplink, then `Fabric::sink_commit` on the downlink —
     /// one path for both engines). The sink stays open across
     /// dispatches; successive flushes continue its downlink reservation,
-    /// and delivery rides the zero-event soft schedule. An
+    /// and delivery rides the timing wheel as a soft entry (counted in
+    /// `soft_deliveries`, not `sim_events`). An
     /// N-to-1 incast needs one close reaper and one soft entry; pause,
     /// member caps, and lingering are per-sink. Conserved quantities
     /// equal [`FabricMode::PerPacket`] exactly, and the bulk arrival
@@ -145,11 +146,11 @@ pub struct ClusterConfig {
     /// statistics and the next burst opens a fresh one. Also paces the
     /// `Ev::SinkClose` reaper timers (one per active sink, rescheduled at
     /// this cadence).
-    pub flow_linger_ns: Ns,
+    pub sink_linger_ns: Ns,
     /// Hard cap on members accumulated by one per-destination sink
     /// before it is closed and a successor opened — bounds the member
     /// vector a single delivery dispatch may own.
-    pub flow_member_cap: usize,
+    pub sink_member_cap: usize,
     /// log2 of the fine pages spanned by one coarse-wheel bucket
     /// (see `EventQueue::with_coarse_bits`), in
     /// `1..=`[`MAX_COARSE_BITS`]; 6 keeps the PR 3 layout (64 µs pages,
@@ -221,8 +222,8 @@ impl ClusterConfig {
             host_fragmentation: 0.4,
             backed: false,
             batch_fabric: FabricMode::Incast,
-            flow_linger_ns: Ns::millis(2),
-            flow_member_cap: 4096,
+            sink_linger_ns: Ns::millis(2),
+            sink_member_cap: 4096,
             wheel_coarse_bits: 6,
             engine: EngineMode::SingleQueue,
             threads: None,

@@ -63,9 +63,13 @@ enum Ev {
     /// event fires at the last member's IRQ finish (the only completion
     /// an in-order pipelined sender can act on).
     SdmaSentBatch { members: Vec<SentMember> },
+    /// Deliver the pending members of `sinks[slot]` (always soft). One
+    /// per pending sink; a merge that brings an earlier head cancels it
+    /// and schedules it again at the new first arrival.
+    SinkDeliver { slot: usize },
     /// Incast-mode reaper timer: close `sinks[slot]` (the destination
     /// node's merged flow) if *every* source link feeding it has idled
-    /// past `flow_linger_ns`, else re-arm. One timer covers the whole
+    /// past `sink_linger_ns`, else re-arm. One timer covers the whole
     /// N-to-1 incast. Touches no rank state (pure sink bookkeeping), so
     /// it is exempt from `node_pending` accounting and commutes with
     /// train continuations.
@@ -81,8 +85,9 @@ enum TrainSource {
     Event,
     /// The pending members of `sinks[i]` (the destination node's merged
     /// incast flow): the remainder goes back into the sink (lazy
-    /// resplit) as the same ring, with no copy, and re-defers as its soft
-    /// entry, so later appends keep extending it in place.
+    /// resplit) as the same ring, with no copy, and re-defers as its
+    /// `Ev::SinkDeliver` entry, so later appends keep extending it in
+    /// place.
     Sink(usize),
 }
 
@@ -128,32 +133,25 @@ struct PendingMember {
     completion: Option<(usize, u64, u32, u64, Ns)>,
 }
 
-/// A deferred delivery on the *soft schedule*: flush products kept
-/// outside the queue and merged against it by `(at, seq)` — the seq is
-/// allocated from the queue's own counter, so executing the smaller key
-/// first gives the same pop order as queueing them would, while the soft
-/// side costs zero `sim_events`.
-struct SoftItem {
-    at: Ns,
-    seq: u64,
-    kind: SoftKind,
-}
-
-enum SoftKind {
-    /// Deliver the pending members of `sinks[i]`.
-    Sink(usize),
-    /// Any other flush product (intra-node train, parked singleton,
-    /// batched sender completions), dispatched exactly like the event.
-    Ev(Ev),
+/// A wheel entry: an event, tagged *soft* when it is a flush product
+/// (sink delivery, intra-node train, parked singleton, batched sender
+/// completions). Soft entries pop in the same `(time, seq)` order as
+/// every other event but count in `soft_deliveries`, not `sim_events`.
+/// `Ev::Packet` and `Ev::SdmaSent` are scheduled both ways, so the tag
+/// is explicit rather than read off the variant.
+struct Queued {
+    ev: Ev,
+    soft: bool,
 }
 
 /// The destination-rooted incast flow of one node (`sinks[dst_node]`):
-/// the merge of every source link's bursts into a single soft schedule
+/// the merge of every source link's bursts into a single delivery
 /// over the node's downlink, kept open across dispatches. Successive
 /// flushes from *any* source continue the shared downlink reservation
 /// ([`Fabric::sink_commit`]) and merge into `members` by
-/// `(arrival, seq)`; one soft entry, one `node_pending` mark, and one
-/// [`Ev::SinkClose`] reaper cover every source link.
+/// `(arrival, seq)`; one soft [`Ev::SinkDeliver`] wheel entry, one
+/// `node_pending` mark, and one [`Ev::SinkClose`] reaper cover every
+/// source link.
 /// Slots are allocated once per node and never freed; `open` flips as
 /// sinks close (linger, member cap, reaper) and successors reuse them.
 #[derive(Default)]
@@ -167,15 +165,15 @@ struct SinkSlot {
     /// ([`merge_burst`]). A ring: delivery pops the front, and a pause
     /// hands the undelivered rest back as the same buffer.
     members: VecDeque<TrainPacket>,
-    /// Whether a `SoftKind::Sink` entry for `members` is on the soft
-    /// schedule (with a matching `node_pending` entry).
+    /// Whether an `Ev::SinkDeliver` entry for `members` is on the wheel
+    /// (with a matching `node_pending` entry).
     pending: bool,
-    /// Soft-entry key time while `pending` — needed to re-key the entry
-    /// when a merge introduces an earlier first arrival.
+    /// Time of that entry while `pending`: with the slot id it finds the
+    /// entry to cancel when a merge introduces an earlier first arrival.
     entry_at: Ns,
     /// Members accumulated by the open sink so far (the `sink_commit`
     /// continuation length across all sources; resets on close). At most
-    /// `flow_member_cap` plus one burst, so 32 bits suffice and the slot
+    /// `sink_member_cap` plus one burst, so 32 bits suffice and the slot
     /// stays 56 bytes next to the ring.
     len: u32,
     /// Last append or delivery on this sink, for linger decisions.
@@ -401,9 +399,9 @@ pub struct RunResult {
     /// (the lazy resplit). Zero queue events each — the cheap cousin of
     /// [`fabric_resplits`](Self::fabric_resplits).
     pub fabric_sink_pauses: u64,
-    /// Deliveries executed on the zero-event soft schedule
-    /// ([`FabricMode::Incast`] only): flush products that would
-    /// otherwise each have cost a queue event.
+    /// Soft wheel entries dispatched ([`FabricMode::Incast`] only):
+    /// flush products, counted here instead of in
+    /// [`sim_events`](Self::sim_events).
     pub soft_deliveries: u64,
     /// Order-independent digest of every fabric delivery schedule
     /// (`hash(arrival, dst, src, bytes)` summed commutatively at
@@ -435,7 +433,8 @@ pub struct RunResult {
     pub ranks_done: u32,
     /// Payloads delivered to receives (backed runs only).
     pub delivered_payloads: u64,
-    /// Events popped from the queue over the whole run (deterministic).
+    /// Non-soft events popped from the queue over the whole run
+    /// (deterministic).
     pub sim_events: u64,
     /// Events silently clamped after past-scheduling (must be zero; a
     /// nonzero value means a model scheduled into the past in a release
@@ -473,8 +472,8 @@ struct HotCfg {
     pio_base: Ns,
     pio_bw: f64,
     copy_bw: f64,
-    /// Bursts coalesce into destination-rooted sinks and ride the soft
-    /// schedule (`Incast`); off = the per-packet reference.
+    /// Bursts coalesce into destination-rooted sinks and ride the wheel
+    /// as soft entries (`Incast`); off = the per-packet reference.
     incast: bool,
     /// Ranks per node: maps a (possibly remote) rank id to its node id
     /// without touching the rank vector — in sharded runs remote ranks
@@ -536,7 +535,7 @@ pub struct World {
     nodes: Vec<Node>,
     ranks: Vec<RankState>,
     fabric: Fabric,
-    queue: EventQueue<Ev>,
+    queue: EventQueue<Queued>,
     delivered_payloads: u64,
     /// Per-rank timestamp of the latest queued `Ev::Wake` (`Ns::MAX` =
     /// none): lets the loop coalesce same-timestamp wake storms into one
@@ -577,11 +576,8 @@ pub struct World {
     /// dispatch may run ahead of events that touch *other* nodes — their
     /// gates and inboxes are disjoint from the continuation's — but must
     /// yield to anything pending on the destination node itself. Soft
-    /// schedule items are accounted here exactly like queued events.
+    /// entries are accounted here exactly like other queued events.
     node_pending: Vec<std::collections::BTreeMap<Ns, u32>>,
-    /// Soft schedule, sorted *descending* by `(at, seq)` so the next
-    /// item pops O(1) off the tail (same trick as the wheel's `cur`).
-    soft: Vec<SoftItem>,
     /// Destination-rooted incast sinks, one per node (`sinks[dst_node]`).
     sinks: Vec<SinkSlot>,
     /// Open-addressed `(src, dst) -> pending_trains bucket` index,
@@ -607,10 +603,11 @@ pub struct World {
     /// shard-local, merged once at collection (order-invariant), so no
     /// worker ever serializes on a shared stats sink.
     arrival_sketch: Sketch,
-    /// Soft-schedule dispatches (see [`RunResult::soft_deliveries`]).
+    /// Soft-entry dispatches (see [`RunResult::soft_deliveries`]).
     soft_deliveries: u64,
-    /// Time of the dispatch in flight (== the popped item's timestamp;
-    /// runs ahead of `queue.now()` during soft dispatches).
+    /// Time of the dispatch in flight: the popped entry's timestamp,
+    /// equal to `queue.now()` inside `pump`. A sharded barrier commit
+    /// sets it to the committed burst's emit time instead.
     sim_now: Ns,
     /// First global rank id owned by this world. `ranks[g - rank_base]`
     /// is rank `g`, and the per-rank *counter* vectors (`pending_wake`,
@@ -809,39 +806,25 @@ impl World {
         node_base: usize,
     ) -> World {
         let (count, nranks) = (nodes.len(), ranks.len());
-        let incast = cfg.batch_fabric.incast();
-        let mut queue = EventQueue::with_coarse_bits(cfg.wheel_coarse_bits);
-        let mut node_pending: Vec<std::collections::BTreeMap<Ns, u32>> =
-            vec![std::collections::BTreeMap::new(); count];
-        let mut pending_wake = Vec::with_capacity(nranks);
-        for (j, rank) in ranks.iter().enumerate() {
-            queue.schedule(rank.clock, Ev::Wake(rank_base + j));
-            if incast {
-                *node_pending[rank.node - node_base]
-                    .entry(rank.clock)
-                    .or_insert(0) += 1;
-            }
-            pending_wake.push(rank.clock);
-        }
         let hot = HotCfg {
             os: cfg.os,
             pio_base: cfg.pio_base,
             pio_bw: cfg.pio_bw,
             copy_bw: cfg.copy_bw,
-            incast,
+            incast: cfg.batch_fabric.incast(),
             rpn: cfg.shape.ranks_per_node as usize,
         };
-        World {
+        let mut w = World {
             fabric: Fabric::new_shard(cfg.fabric, cfg.shape.nodes as usize, node_base, count),
+            queue: EventQueue::with_coarse_bits(cfg.wheel_coarse_bits),
             cfg,
             hot,
             lc: LinuxCosts::default(),
             mmc: MckMmCosts::default(),
             nodes,
             ranks,
-            queue,
             delivered_payloads: 0,
-            pending_wake,
+            pending_wake: vec![Ns::MAX; nranks],
             action_scratch: Vec::new(),
             inbox_scratch: Vec::new(),
             pending_trains: Vec::new(),
@@ -855,8 +838,7 @@ impl World {
             train_parked: vec![0; nranks],
             train_park_clock: vec![Ns::ZERO; nranks],
             engaged_scratch: Vec::new(),
-            node_pending,
-            soft: Vec::new(),
+            node_pending: vec![std::collections::BTreeMap::new(); count],
             sinks: (0..count).map(|_| SinkSlot::default()).collect(),
             link_index: LinkIndex::new(),
             resplits: 0,
@@ -886,7 +868,11 @@ impl World {
             dispatches: 0,
             window_horizon: Ns::MAX,
             inj_scratch: Vec::new(),
+        };
+        for j in 0..nranks {
+            w.schedule_wake(rank_base + j, w.ranks[j].clock);
         }
+        w
     }
 
     /// Boot one node for real: buddy allocator, chip, driver probe, and —
@@ -1056,6 +1042,8 @@ impl World {
                 let r0 = members[0].rank;
                 Some(self.ranks[(r0) - self.rank_base].node)
             }
+            // Sinks are indexed by destination node.
+            Ev::SinkDeliver { slot } => Some(*slot),
             Ev::SinkClose { .. } => None,
         }
     }
@@ -1094,21 +1082,31 @@ impl World {
             .any(|(s, d, ms)| *s == node && *d == node && !ms.is_empty())
     }
 
-    /// Schedule an event, keeping the per-node pending-time multiset in
-    /// step (incast mode only — the reference path never consults it).
+    /// Schedule an event that is not a flush product.
     fn schedule_ev(&mut self, at: Ns, ev: Ev) {
+        self.enqueue(at, Queued { ev, soft: false });
+    }
+
+    /// Schedule a flush product as a soft wheel entry (incast mode
+    /// only): ordered like any event, counted as a soft delivery.
+    fn push_soft(&mut self, at: Ns, ev: Ev) {
+        self.enqueue(at, Queued { ev, soft: true });
+    }
+
+    /// Queue an entry, keeping the per-node pending-time multiset in
+    /// step (incast mode only — the reference path never consults it).
+    fn enqueue(&mut self, at: Ns, q: Queued) {
         if self.hot.incast {
-            if let Some(n) = self.ev_node(&ev) {
+            if let Some(n) = self.ev_node(&q.ev) {
                 *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
             }
         }
-        self.queue.schedule(at, ev);
+        self.queue.schedule(at, q);
     }
 
     /// Drop one `node_pending` mark for node `n` at time `t` (the inverse
-    /// of the bookkeeping in [`schedule_ev`](Self::schedule_ev) /
-    /// [`push_soft`](Self::push_soft), applied when the event or soft
-    /// item is dispatched).
+    /// of the bookkeeping in [`enqueue`](Self::enqueue), applied when the
+    /// entry is dispatched or cancelled).
     fn node_pending_remove(&mut self, n: usize, t: Ns) {
         let n = n - self.node_base;
         match self.node_pending[n].get_mut(&t) {
@@ -1117,24 +1115,6 @@ impl World {
                 self.node_pending[n].remove(&t);
             }
         }
-    }
-
-    /// Put a deferred delivery on the soft schedule, stamped with a seq
-    /// from the queue's counter (so it merges into the exact queue pop
-    /// order) and accounted in `node_pending` like a queued event.
-    fn push_soft(&mut self, at: Ns, kind: SoftKind) {
-        let node = match &kind {
-            // Sinks are indexed by destination node.
-            SoftKind::Sink(i) => Some(*i),
-            SoftKind::Ev(ev) => self.ev_node(ev),
-        };
-        if let Some(n) = node {
-            *self.node_pending[n - self.node_base].entry(at).or_insert(0) += 1;
-        }
-        let seq = self.queue.alloc_seq();
-        let item = SoftItem { at, seq, kind };
-        let pos = self.soft.partition_point(|s| (s.at, s.seq) > (at, seq));
-        self.soft.insert(pos, item);
     }
 
     /// Run; optionally print stuck-rank diagnostics at exhaustion.
@@ -1146,6 +1126,7 @@ impl World {
         // One shard is just the single-queue walk.
         let started = std::time::Instant::now();
         self.pump(Ns::MAX);
+        self.debug_assert_drained();
         if debug {
             let d = self.debug_stuck();
             if !d.is_empty() {
@@ -1170,12 +1151,10 @@ impl World {
             .clamp(1, nnodes)
     }
 
-    /// Earliest pending dispatch time across the queue and the soft
-    /// schedule, as a raw key (`u64::MAX` when this world is idle).
+    /// Earliest pending dispatch time as a raw key (`u64::MAX` when this
+    /// world is idle).
     fn next_key_time(&self) -> u64 {
-        let soft = self.soft.last().map(|s| s.at.0).unwrap_or(u64::MAX);
-        let ev = self.queue.peek_time().map(|t| t.0).unwrap_or(u64::MAX);
-        soft.min(ev)
+        self.queue.peek_time().map_or(u64::MAX, |t| t.0)
     }
 
     /// Drain every dispatch with time strictly before `horizon`
@@ -1183,54 +1162,41 @@ impl World {
     /// this once; the sharded engine calls it per conservative window.
     fn pump(&mut self, horizon: Ns) {
         self.window_horizon = horizon;
-        loop {
-            // Merge the soft schedule with the queue by `(time, seq)`:
-            // both sides draw seqs from one counter, so this pop order is
-            // the one queueing every item would give — the soft side just
-            // doesn't pay queue events.
-            let take_soft = match (
-                self.soft.last().map(|s| (s.at, s.seq)),
-                self.queue.peek_key(),
-            ) {
-                (Some(s), Some(q)) => s < q,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return,
-            };
-            let t = if take_soft {
-                self.soft.last().expect("non-empty soft schedule").at
-            } else {
-                self.queue.peek_time().expect("non-empty queue")
-            };
-            if t >= horizon {
-                return;
-            }
+        while self.queue.peek_time().is_some_and(|t| t < horizon) {
+            let (t, Queued { ev, soft }) = self.queue.pop().expect("peeked entry");
             self.dispatches += 1;
             assert!(
                 self.dispatches < 2_000_000_000,
                 "runaway simulation: {} dispatches",
                 self.dispatches
             );
-            if take_soft {
-                let item = self.soft.pop().expect("non-empty soft schedule");
-                self.soft_deliveries += 1;
-                self.sim_now = item.at;
-                self.dispatch_soft(item);
-            } else {
-                let (t, ev) = self.queue.pop().expect("non-empty queue");
-                self.sim_now = t;
-                if self.hot.incast {
-                    if let Some(n) = self.ev_node(&ev) {
-                        self.node_pending_remove(n, t);
-                    }
+            self.soft_deliveries += u64::from(soft);
+            self.sim_now = t;
+            if self.hot.incast {
+                if let Some(n) = self.ev_node(&ev) {
+                    self.node_pending_remove(n, t);
                 }
-                self.dispatch_ev(t, ev);
             }
+            self.dispatch_ev(t, ev);
             // Coalesce everything the dispatch emitted into trains: one
             // fabric reservation per link burst, merged into the
             // destination's sink (or one soft train for intra-node bursts).
             self.flush_trains();
         }
+    }
+
+    /// End-of-run invariant, checked once the queue has drained: every
+    /// `node_pending` mark was dropped by its entry's dispatch or cancel,
+    /// and no sink still waits on a delivery.
+    fn debug_assert_drained(&self) {
+        debug_assert!(
+            self.node_pending.iter().all(|m| m.is_empty()),
+            "node_pending holds marks after the queue drained"
+        );
+        debug_assert!(
+            self.sinks.iter().all(|s| !s.pending),
+            "a sink is pending after the queue drained"
+        );
     }
 
     /// The conservative-lookahead engine ([`EngineMode::Sharded`]):
@@ -1314,6 +1280,9 @@ impl World {
                     .expect("worker returned its shards")
             })
             .collect();
+        for sh in &shards {
+            sh.debug_assert_drained();
+        }
         if debug {
             for sh in &shards {
                 let d = sh.debug_stuck();
@@ -1337,7 +1306,8 @@ impl World {
     /// `rank.clock` still holds the launch skew, and nothing else is
     /// pending this early), its own shard-local fabric (a shard only
     /// advances its own nodes' uplinks at injection and downlinks at
-    /// commit, so gate state never races) and its own soft schedule.
+    /// commit, so gate state never races), whose wheel also carries the
+    /// shard's soft deliveries.
     /// Returns the shards and the node → shard map.
     fn split_shards(mut self, nshards: usize) -> (Vec<World>, Vec<u32>) {
         assert_eq!(
@@ -1369,38 +1339,7 @@ impl World {
         (shards, node_shard)
     }
 
-    /// Execute one soft-schedule item (its `node_pending` mark drops
-    /// first, exactly like an event pop).
-    fn dispatch_soft(&mut self, item: SoftItem) {
-        match item.kind {
-            SoftKind::Sink(i) => {
-                self.node_pending_remove(i, item.at);
-                let si = i - self.node_base;
-                let members = std::mem::take(&mut self.sinks[si].members);
-                self.sinks[si].pending = false;
-                self.sinks[si].last_activity = item.at;
-                self.on_packet_train(members, TrainSource::Sink(i));
-                // The reaper disarms instead of polling while a delivery
-                // is outstanding; now that `pending` cleared (or the
-                // train paused and will come back through here), restore
-                // the one armed timer the sink's linger close relies on.
-                let s = &self.sinks[si];
-                if (s.open || s.pending) && !s.reaper_armed {
-                    let at = s.last_activity + self.cfg.flow_linger_ns;
-                    self.sinks[si].reaper_armed = true;
-                    self.schedule_ev(at, Ev::SinkClose { slot: i });
-                }
-            }
-            SoftKind::Ev(ev) => {
-                if let Some(n) = self.ev_node(&ev) {
-                    self.node_pending_remove(n, item.at);
-                }
-                self.dispatch_ev(item.at, ev);
-            }
-        }
-    }
-
-    /// Dispatch one event (queued or soft) at time `t`.
+    /// Dispatch one event (soft or not) at time `t`.
     fn dispatch_ev(&mut self, t: Ns, ev: Ev) {
         match ev {
             Ev::Wake(r) => {
@@ -1475,6 +1414,23 @@ impl World {
                         let now = t.max(self.ranks[(m.rank) - self.rank_base].clock);
                         self.run_rank(m.rank, now);
                     }
+                }
+            }
+            Ev::SinkDeliver { slot } => {
+                let si = slot - self.node_base;
+                let members = std::mem::take(&mut self.sinks[si].members);
+                self.sinks[si].pending = false;
+                self.sinks[si].last_activity = t;
+                self.on_packet_train(members, TrainSource::Sink(slot));
+                // The reaper disarms instead of polling while a delivery
+                // is outstanding; now that `pending` cleared (or the
+                // train paused and will come back through here), restore
+                // the one armed timer the sink's linger close relies on.
+                let s = &self.sinks[si];
+                if (s.open || s.pending) && !s.reaper_armed {
+                    let at = s.last_activity + self.cfg.sink_linger_ns;
+                    self.sinks[si].reaper_armed = true;
+                    self.schedule_ev(at, Ev::SinkClose { slot });
                 }
             }
             Ev::SinkClose { slot } => {
@@ -1600,7 +1556,7 @@ impl World {
 
     /// Turn everything the last event dispatch emitted into trains: one
     /// fabric reservation per `(src_node, dst_node)` burst, merged into
-    /// the destination's sink or delivered as one soft item (members in
+    /// the destination's sink or delivered as one soft entry (members in
     /// accumulation order, the same order the per-packet path would have
     /// reserved the link in).
     fn flush_trains(&mut self) {
@@ -1672,7 +1628,7 @@ impl World {
                 let group: Vec<SentMember> = sent[i..j].iter().map(|&(.., m)| m).collect();
                 Ev::SdmaSentBatch { members: group }
             };
-            self.push_soft(at, SoftKind::Ev(ev));
+            self.push_soft(at, ev);
             i = j;
         }
         sent.clear();
@@ -1753,7 +1709,7 @@ impl World {
         // Inter-node link: the burst extends the destination's merged
         // sink instead of becoming its own train. Intra-node
         // (shared-memory) arrivals are not monotone across dispatches, so
-        // those bursts stay per-flush trains — on the soft schedule.
+        // those bursts stay per-flush trains, as soft entries.
         if src_node != dst_node {
             self.flush_sink_burst(src_node, dst_node, &fm, members);
         } else {
@@ -1783,11 +1739,11 @@ impl World {
             let m = members.pop().expect("one member");
             self.push_soft(
                 scheds[0].arrival,
-                SoftKind::Ev(Ev::Packet {
+                Ev::Packet {
                     dst: m.dst,
                     src: m.src,
                     packet: m.packet,
-                }),
+                },
             );
         } else {
             let mut packets: Vec<TrainPacket> = members
@@ -1806,7 +1762,7 @@ impl World {
             // keep link order).
             packets.sort_by_key(|p| p.arrival);
             let first = packets[0].arrival;
-            self.push_soft(first, SoftKind::Ev(Ev::PacketTrain { members: packets }));
+            self.push_soft(first, Ev::PacketTrain { members: packets });
         }
         scheds.clear();
         self.sched_scratch = scheds;
@@ -1909,8 +1865,8 @@ impl World {
     ///
     /// Cross-source arrivals are not monotone in commit order, so new
     /// members *merge* into the pending vector by `(arrival, seq)`, and
-    /// the sink's single soft entry is re-keyed when the merge
-    /// introduces an earlier head. Member seqs come from `commit_seq`
+    /// the sink's single delivery entry is cancelled and rescheduled
+    /// when the merge introduces an earlier head. Member seqs come from `commit_seq`
     /// (monotone in commit order); every flush has a single source node
     /// and so at most one burst per sink, which makes commit order equal
     /// emission order for the members of any one sink.
@@ -1921,15 +1877,15 @@ impl World {
         inj: &[SinkInjection],
         members: impl Iterator<Item = (usize, u32, PsmPacket)>,
     ) {
-        let linger = self.cfg.flow_linger_ns;
-        // `idx` keys the soft schedule / reaper / `node_pending` (global
+        let linger = self.cfg.sink_linger_ns;
+        // `idx` keys the delivery entry / reaper / `node_pending` (global
         // node id); `si` indexes the own-range sink vector.
         let idx = dst_node;
         let si = idx - self.node_base;
         if self.sinks[si].open {
             let s = &self.sinks[si];
             let idled = !s.pending && now > s.last_activity + linger;
-            let capped = s.len as usize + inj.len() > self.cfg.flow_member_cap;
+            let capped = s.len as usize + inj.len() > self.cfg.sink_member_cap;
             if idled || capped {
                 self.close_sink(idx);
             }
@@ -1966,21 +1922,21 @@ impl World {
         if !self.sinks[si].pending {
             self.sinks[si].pending = true;
             self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
+            self.push_soft(head, Ev::SinkDeliver { slot: idx });
         } else if head < self.sinks[si].entry_at {
             // The merge put an earlier member at the head: re-key the
-            // sink's soft entry (and its `node_pending` mark) to the new
-            // first arrival, or the delivery would fire late.
+            // sink's delivery entry (and its `node_pending` mark) to the
+            // new first arrival, or the delivery would fire late.
             let old = self.sinks[si].entry_at;
-            let pos = self
-                .soft
-                .iter()
-                .position(|s| matches!(s.kind, SoftKind::Sink(j) if j == idx))
-                .expect("pending sink has a soft entry");
-            self.soft.remove(pos);
+            self.queue
+                .cancel(
+                    old,
+                    |q| matches!(q.ev, Ev::SinkDeliver { slot } if slot == idx),
+                )
+                .expect("pending sink has a queued delivery");
             self.node_pending_remove(idx, old);
             self.sinks[si].entry_at = head;
-            self.push_soft(head, SoftKind::Sink(idx));
+            self.push_soft(head, Ev::SinkDeliver { slot: idx });
         }
         if !self.sinks[si].reaper_armed {
             self.sinks[si].reaper_armed = true;
@@ -1995,7 +1951,7 @@ impl World {
     /// active; disarm for good once the sink is closed, so an idle node
     /// costs no further events. One timer covers the whole incast.
     fn on_sink_close(&mut self, slot: usize, t: Ns) {
-        let linger = self.cfg.flow_linger_ns;
+        let linger = self.cfg.sink_linger_ns;
         let si = slot - self.node_base;
         let s = &self.sinks[si];
         let (pending, last, open) = (s.pending, s.last_activity, s.open);
@@ -2028,7 +1984,7 @@ impl World {
     /// * a future arrival for a rank the dispatch has not engaged (or
     ///   one that would outrun a parked rank's pending wake) must not
     ///   be delivered early or out of order: the remainder of the train
-    ///   is handed back — to the soft schedule for a plain train, or
+    ///   is handed back — as a fresh soft entry for a plain train, or
     ///   into the sink slot (lazy resplit) for a sink.
     fn on_packet_train(&mut self, mut members: VecDeque<TrainPacket>, source: TrainSource) {
         self.train_epoch += 1;
@@ -2108,8 +2064,8 @@ impl World {
             // remainder goes back is what the resplit accounting splits:
             // a plain train *re-commits* it as a fresh scheduler item (a
             // fresh dispatch), while a sink's suffix stays in its slot and
-            // merely re-defers the soft entry (a lazy pause, accumulator
-            // preserved).
+            // merely re-defers its delivery entry (a lazy pause,
+            // accumulator preserved).
             let at = m.arrival;
             members.push_front(m);
             match source {
@@ -2117,32 +2073,32 @@ impl World {
                     // Lazy resplit: only the suffix after the conflict
                     // (members from every source, still merged) goes back
                     // into the sink — the same ring, nothing copied — and
-                    // re-defers as its single soft entry; later appends
-                    // extend it in place.
+                    // re-defers as its single delivery entry; later
+                    // appends extend it in place.
                     self.sink_pauses += 1;
                     let si = i - self.node_base;
                     debug_assert!(self.sinks[si].members.is_empty());
                     self.sinks[si].entry_at = at;
                     self.sinks[si].members = std::mem::take(&mut members);
                     self.sinks[si].pending = true;
-                    self.push_soft(at, SoftKind::Sink(i));
+                    self.push_soft(at, Ev::SinkDeliver { slot: i });
                 }
                 TrainSource::Event if members.len() == 1 => {
                     self.resplits += 1;
                     let p = members.pop_front().expect("one member");
                     self.push_soft(
                         at,
-                        SoftKind::Ev(Ev::Packet {
+                        Ev::Packet {
                             dst: p.dst,
                             src: p.src,
                             packet: p.packet,
-                        }),
+                        },
                     );
                 }
                 TrainSource::Event => {
                     self.resplits += 1;
                     let members = Vec::from(std::mem::take(&mut members));
-                    self.push_soft(at, SoftKind::Ev(Ev::PacketTrain { members }));
+                    self.push_soft(at, Ev::PacketTrain { members });
                 }
             }
             break;
@@ -2877,7 +2833,7 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
     let mut soft_deliveries = 0u64;
     let (mut digest, mut digest_bulk) = (0u64, 0u64);
     for w in &worlds {
-        sim_events += w.queue.events_processed();
+        sim_events += w.queue.events_processed() - w.soft_deliveries;
         clamped_events += w.queue.clamped_events();
         wheel.merge(w.queue.profile());
         // Payload delivery and verification stream at `Completed` time

@@ -208,7 +208,7 @@ fn train_parks_members_behind_busy_rank() {
         );
         assert!(
             ron.fabric_sinks > 0 && ron.soft_deliveries > 0,
-            "{os:?}: the run must exercise the soft schedule ({} sinks, {} soft)",
+            "{os:?}: the run must exercise soft deliveries ({} sinks, {} soft)",
             ron.fabric_sinks,
             ron.soft_deliveries
         );
@@ -218,7 +218,7 @@ fn train_parks_members_behind_busy_rank() {
 /// Backed (payload-carrying) runs of every CORAL skeleton through the
 /// destination-rooted sink path (`FabricMode::Incast`, the paper
 /// default): every byte must survive appended, merged, paused, and
-/// soft-scheduled multi-source delivery.
+/// soft-entry multi-source delivery.
 #[test]
 fn backed_coral_payloads_survive_incast() {
     for app in [

@@ -20,8 +20,8 @@
 //!    bucket is sorted lazily, only when the wheel cursor reaches it.
 //! 3. **coarse wheel** — a second ring of `NSLOTS2` buckets of
 //!    `2^(SLOT_BITS + COARSE_BITS)` ns each (~67 ms horizon), for the
-//!    mid-future band the fine ring misses: flow-close reapers
-//!    (`flow_linger_ns`, default 2 ms), launch skew, noise ticks. A
+//!    mid-future band the fine ring misses: sink-close reapers
+//!    (`sink_linger_ns`, default 2 ms), launch skew, noise ticks. A
 //!    coarse bucket cascades into the fine ring when the fine horizon
 //!    advances over it — each event moves down at most once.
 //! 4. **overflow** — a plain binary min-heap for events beyond the
@@ -147,10 +147,8 @@ impl<E> Ord for Entry<E> {
 /// A deterministic timing-wheel queue of timed events, popping in exact
 /// `(time, sequence)` order.
 pub struct EventQueue<E> {
-    /// Events at exactly `run_at`, in sequence order (front pops first),
-    /// carrying their sequence numbers so [`peek_key`](Self::peek_key)
-    /// can expose the head's full ordering key.
-    run: VecDeque<(u64, E)>,
+    /// Events at exactly `run_at`, in sequence order (front pops first).
+    run: VecDeque<E>,
     /// Timestamp of the events in `run`.
     run_at: Ns,
     /// Events of the current page with `at > run_at`, sorted *descending*
@@ -305,7 +303,7 @@ impl<E> EventQueue<E> {
         if at == self.run_at {
             // Same-timestamp fast path: sequence order == insertion order.
             self.profile.sched_run += 1;
-            self.run.push_back((seq, ev));
+            self.run.push_back(ev);
             return;
         }
         if page == self.window_page {
@@ -329,16 +327,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `ev` at `now + delay`.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Ns, ev: E) {
-        self.schedule(self.now + delay, ev);
-    }
-
     /// Pop the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Ns, E)> {
         loop {
-            if let Some((_, ev)) = self.run.pop_front() {
+            if let Some(ev) = self.run.pop_front() {
                 debug_assert!(
                     self.run_at >= self.now,
                     "wheel returned an out-of-order event"
@@ -378,39 +370,42 @@ impl<E> EventQueue<E> {
         self.overflow.peek().map(|e| e.at)
     }
 
-    /// Full ordering key `(time, seq)` of the next event without popping.
-    ///
-    /// This lets an external scheduler merge its own deferred work with
-    /// the queue in exact pop order: allocate sequence numbers for the
-    /// deferred items from [`alloc_seq`](Self::alloc_seq) and execute
-    /// whichever side holds the smaller key.
-    pub fn peek_key(&self) -> Option<(Ns, u64)> {
-        if let Some(&(seq, _)) = self.run.front() {
-            return Some((self.run_at, seq));
-        }
-        if let Some(e) = self.cur.last() {
-            return Some((e.at, e.seq));
-        }
-        if let Some(d) = self.first_occupied_distance() {
-            let s = (self.window_page + d) as usize & (NSLOTS - 1);
-            return self.slots[s].iter().map(|e| (e.at, e.seq)).min();
-        }
-        if let Some((s, _)) = self.min_coarse_bucket() {
-            return self.slots2[s].iter().map(|e| (e.at, e.seq)).min();
-        }
-        self.overflow.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Claim the next sequence number without scheduling an event.
-    ///
-    /// Used by schedulers that keep *soft* (zero-cost) deliveries outside
-    /// the queue but need them totally ordered against real events: a soft
-    /// item stamped with an allocated seq compares against
-    /// [`peek_key`](Self::peek_key) exactly as if it had been scheduled.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+    /// Remove and return the pending event at time `at` whose payload
+    /// satisfies `pred` (the first one in pop order if several do), or
+    /// `None` if there is none. Only the tier that the placement rule of
+    /// [`schedule`](Self::schedule) puts `at` in is searched, and the
+    /// cursor does not move, so a later schedule behind the cancelled
+    /// entry is still accepted. The freed sequence number is not reused.
+    pub fn cancel(&mut self, at: Ns, mut pred: impl FnMut(&E) -> bool) -> Option<E> {
+        let page = page_of(at);
+        let ev = if at == self.run_at {
+            let i = self.run.iter().position(&mut pred)?;
+            self.run.remove(i)?
+        } else if page == self.window_page {
+            // Descending order: the last match is the earliest seq.
+            let i = self.cur.iter().rposition(|e| e.at == at && pred(&e.ev))?;
+            self.cur.remove(i).ev
+        } else if page < fine_end(self.window_page, self.coarse_bits) {
+            let s = page as usize & (NSLOTS - 1);
+            let ev = take_match(&mut self.slots[s], at, pred)?;
+            if self.slots[s].is_empty() {
+                self.occ[s / 64] &= !(1 << (s % 64));
+            }
+            ev
+        } else if (page >> self.coarse_bits)
+            < (self.window_page >> self.coarse_bits) + NSLOTS2 as u64
+        {
+            let s = (page >> self.coarse_bits) as usize & (NSLOTS2 - 1);
+            let ev = take_match(&mut self.slots2[s], at, pred)?;
+            if self.slots2[s].is_empty() {
+                self.occ2[s / 64] &= !(1 << (s % 64));
+            }
+            ev
+        } else {
+            heap_cancel(&mut self.overflow, at, pred)?
+        };
+        self.len -= 1;
+        Some(ev)
     }
 
     /// Move the tail group of `cur` (the earliest timestamp) into `run`.
@@ -420,20 +415,28 @@ impl<E> EventQueue<E> {
         while self.cur.last().is_some_and(|e| e.at == at) {
             // Tail pops of a descending sort yield ascending `seq`.
             let e = self.cur.pop().expect("tail present");
-            self.run.push_back((e.seq, e.ev));
+            self.run.push_back(e.ev);
         }
     }
 
     /// Distance (in pages, 1..NSLOTS) from `window_page` to the first
     /// occupied bucket, scanning the ring in time order.
     fn first_occupied_distance(&self) -> Option<u64> {
-        let start = self.window_page as usize & (NSLOTS - 1);
-        // Scan the occupancy bitmap in two runs: (start, NSLOTS) then
-        // [0, start] — i.e. circular order, nearest page first.
-        for d in 1..=NSLOTS as u64 {
-            let s = (start + d as usize) & (NSLOTS - 1);
-            if self.occ[s / 64] & (1 << (s % 64)) != 0 {
-                return Some(d);
+        // Circular scan of the bitmap a word at a time, nearest page
+        // first: from the slot after the cursor's to the end of its word
+        // and on, wrapping around to the bits before it.
+        let start = (self.window_page as usize + 1) & (NSLOTS - 1);
+        let (w0, b0) = (start / 64, start % 64);
+        for i in 0..=OCC_WORDS {
+            let w = (w0 + i) % OCC_WORDS;
+            let bits = match i {
+                0 => self.occ[w] & (!0 << b0),
+                OCC_WORDS => self.occ[w] & !(!0 << b0),
+                _ => self.occ[w],
+            };
+            if bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                return Some(((s + NSLOTS - start) % NSLOTS) as u64 + 1);
             }
         }
         None
@@ -545,6 +548,28 @@ fn insert_desc<E>(v: &mut Vec<Entry<E>>, e: Entry<E>) {
     v.insert(pos, e);
 }
 
+/// Remove the entry of the unsorted bucket `v` at time `at` whose payload
+/// satisfies `pred`, the earliest-seq one if several do.
+fn take_match<E>(v: &mut Vec<Entry<E>>, at: Ns, mut pred: impl FnMut(&E) -> bool) -> Option<E> {
+    let i = (0..v.len())
+        .filter(|&i| v[i].at == at && pred(&v[i].ev))
+        .min_by_key(|&i| v[i].seq)?;
+    Some(v.swap_remove(i).ev)
+}
+
+/// [`take_match`] over a heap (rebuilt in O(n); heap order is a total
+/// order on `(at, seq)`, so the pop sequence is unaffected).
+fn heap_cancel<E>(
+    heap: &mut BinaryHeap<Entry<E>>,
+    at: Ns,
+    pred: impl FnMut(&E) -> bool,
+) -> Option<E> {
+    let mut v = std::mem::take(heap).into_vec();
+    let ev = take_match(&mut v, at, pred);
+    *heap = BinaryHeap::from(v);
+    ev
+}
+
 /// The original global binary-heap event queue.
 ///
 /// Kept in-tree as (a) the reference model the timing wheel is checked
@@ -621,12 +646,6 @@ impl<E> HeapEventQueue<E> {
         self.heap.push(Entry { at, seq, ev });
     }
 
-    /// Schedule `ev` at `now + delay`.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Ns, ev: E) {
-        self.schedule(self.now + delay, ev);
-    }
-
     /// Pop the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Ns, E)> {
         let e = self.heap.pop()?;
@@ -641,18 +660,10 @@ impl<E> HeapEventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Full ordering key `(time, seq)` of the next event (see
-    /// [`EventQueue::peek_key`]).
-    pub fn peek_key(&self) -> Option<(Ns, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
-    }
-
-    /// Claim the next sequence number without scheduling an event (see
-    /// [`EventQueue::alloc_seq`]).
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+    /// Remove and return the pending event at time `at` whose payload
+    /// satisfies `pred` (see [`EventQueue::cancel`]).
+    pub fn cancel(&mut self, at: Ns, pred: impl FnMut(&E) -> bool) -> Option<E> {
+        heap_cancel(&mut self.heap, at, pred)
     }
 }
 
@@ -683,15 +694,6 @@ mod tests {
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         let expect: Vec<i32> = (0..100).collect();
         assert_eq!(order, expect);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(100), ());
-        q.pop();
-        q.schedule_in(Ns(50), ());
-        assert_eq!(q.peek_time(), Some(Ns(150)));
     }
 
     #[test]
@@ -759,12 +761,12 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    /// Flow-linger-style timers (~2 ms out) overshoot the fine ring's
+    /// Sink-linger-style timers (~2 ms out) overshoot the fine ring's
     /// ~1 ms horizon and must land in the coarse ring — not the overflow
     /// heap — and still pop in exact `(time, seq)` order against the
     /// reference heap after cascading back through the fine ring.
     #[test]
-    fn flow_linger_timers_land_in_coarse_ring() {
+    fn sink_linger_timers_land_in_coarse_ring() {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         let mut id = 0u64;
@@ -796,34 +798,13 @@ mod tests {
         assert!(coarse_occ > 0, "coarse bitmap must show occupied buckets");
         assert!(fine_occ <= 1);
         loop {
-            assert_eq!(wheel.peek_key(), heap.peek_key());
+            assert_eq!(wheel.peek_time(), heap.peek_time());
             let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-    }
-
-    /// `peek_key` exposes the head's `(time, seq)` across all tiers, and
-    /// `alloc_seq` interleaves with scheduled seqs in program order — the
-    /// contract the soft-merge scheduler in `cluster` relies on.
-    #[test]
-    fn peek_key_and_alloc_seq_share_one_sequence_space() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(10), "a"); // seq 0
-        let soft = q.alloc_seq(); // seq 1
-        q.schedule(Ns(10), "b"); // seq 2
-        assert_eq!(soft, 1);
-        assert_eq!(q.peek_key(), Some((Ns(10), 0)));
-        q.pop();
-        // After popping "a", the head is "b" with seq 2 > the soft seq 1:
-        // a soft item at Ns(10) must run before "b".
-        assert_eq!(q.peek_key(), Some((Ns(10), 2)));
-        // Keys surface from the ring and overflow tiers too.
-        q.schedule(Ns::millis(3), "far"); // seq 3
-        q.pop();
-        assert_eq!(q.peek_key(), Some((Ns::millis(3), 3)));
     }
 
     /// Pop order is independent of the coarse-page width: a wheel with
@@ -851,7 +832,7 @@ mod tests {
                     heap.schedule(at, id);
                     id += 1;
                 } else {
-                    assert_eq!(wheel.peek_key(), heap.peek_key(), "bits {bits}");
+                    assert_eq!(wheel.peek_time(), heap.peek_time(), "bits {bits}");
                     assert_eq!(wheel.pop(), heap.pop(), "bits {bits}");
                 }
             }
@@ -866,15 +847,17 @@ mod tests {
     }
 
     /// The wheel pops the exact `(time, seq)` sequence of the reference
-    /// heap under random schedule/pop interleavings (the in-crate half of
-    /// the equivalence property; the umbrella test suite runs a larger
-    /// version).
+    /// heap under random schedule/pop/cancel interleavings (the in-crate
+    /// half of the equivalence property; the umbrella test suite runs a
+    /// larger version). Cancels pick a random pending entry, so they hit
+    /// every tier, including the run group and the cursor's own page.
     #[test]
     fn matches_reference_heap_randomized() {
         for seed in 0..20u64 {
             let mut rng = Rng::new(0xE7E_ED15 ^ seed.wrapping_mul(0x9E37_79B9));
             let mut wheel = EventQueue::new();
             let mut heap = HeapEventQueue::new();
+            let mut live: Vec<(Ns, u64)> = Vec::new();
             let mut id = 0u64;
             for _ in 0..2_000 {
                 if rng.chance(0.6) || wheel.is_empty() {
@@ -888,11 +871,30 @@ mod tests {
                     let at = Ns(wheel.now().0 + delta);
                     wheel.schedule(at, id);
                     heap.schedule(at, id);
+                    live.push((at, id));
                     id += 1;
+                } else if rng.chance(0.2) {
+                    let (at, victim) = live.swap_remove(rng.gen_range(live.len() as u64) as usize);
+                    assert_eq!(
+                        wheel.cancel(at, |&e| e == victim),
+                        Some(victim),
+                        "seed {seed}"
+                    );
+                    assert_eq!(
+                        heap.cancel(at, |&e| e == victim),
+                        Some(victim),
+                        "seed {seed}"
+                    );
+                    // A second cancel finds nothing and changes nothing.
+                    assert_eq!(wheel.cancel(at, |&e| e == victim), None, "seed {seed}");
                 } else {
-                    assert_eq!(wheel.peek_key(), heap.peek_key(), "seed {seed}");
-                    assert_eq!(wheel.pop(), heap.pop(), "seed {seed}");
+                    assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+                    let popped = wheel.pop();
+                    assert_eq!(popped, heap.pop(), "seed {seed}");
                     assert_eq!(wheel.now(), heap.now());
+                    let (_, e) = popped.expect("non-empty");
+                    let i = live.iter().position(|&(_, l)| l == e).expect("live");
+                    live.swap_remove(i);
                 }
                 assert_eq!(wheel.len(), heap.len());
             }

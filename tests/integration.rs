@@ -259,8 +259,15 @@ fn qbox_digests_pinned() {
 /// the per-source indexed queue replaced; any change in matching order
 /// or timing moves them. Some sink deliveries pause, so the digests also
 /// witness that a paused sink keeps its undelivered members in order.
+/// The counts `(sim_events, soft_deliveries, fabric_sink_pauses)` and
+/// the sharded row (2 pinned shards, identical at 1 and 2 threads) were
+/// captured at commit bc4ea45, before soft deliveries moved onto the
+/// timing wheel; the sharded row pins the window coordination
+/// (`next_key_time`), which the thread-count tests only check against
+/// itself.
 #[test]
 fn incast_digests_pinned() {
+    use pico_cluster::EngineMode;
     let app = App::Incast {
         bytes: 4096,
         reps: 16,
@@ -269,28 +276,53 @@ fn incast_digests_pinned() {
     let golden = [
         (
             1,
+            EngineMode::SingleQueue,
             0x3771_5be2_1a8a_93e9,
             0x49f8_9f7d_cc03_18b4,
             0x2c2c_48b4_112b_54b8,
+            (199, 228, 15),
         ),
         (
             2,
+            EngineMode::SingleQueue,
             0x7698_edce_5528_6160,
             0x7373_0e7a_00fe_1723,
             0x46a9_d37c_0a44_6583,
+            (183, 233, 12),
+        ),
+        (
+            1,
+            EngineMode::Sharded,
+            0x2421_516b_cbea_238d,
+            0x3b1a_6b75_5439_8abc,
+            0xe14d_92ef_6149_c01e,
+            (288, 412, 177),
         ),
     ];
-    for (seed, finish, arrival, bulk) in golden {
-        let mut cfg = paper_config(OsConfig::McKernelHfi, app, 32, Some(1));
-        cfg.seed = seed;
-        let r = run_app(cfg, app, 1);
-        assert_eq!(r.ranks_done, 32, "seed {seed}");
-        assert!(r.fabric_sink_pauses > 0, "seed {seed}");
-        assert_eq!(
-            (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
-            (finish, arrival, bulk),
-            "seed {seed}"
-        );
+    for (seed, engine, finish, arrival, bulk, counts) in golden {
+        let threads: &[usize] = if engine.sharded() { &[1, 2] } else { &[1] };
+        for &t in threads {
+            let mut cfg = paper_config(OsConfig::McKernelHfi, app, 32, Some(1));
+            cfg.seed = seed;
+            cfg.engine = engine;
+            cfg.shards = engine.sharded().then_some(2);
+            cfg.threads = Some(t);
+            let r = run_app(cfg, app, 1);
+            let label = format!("seed {seed} {engine:?} threads {t}");
+            assert_eq!(r.ranks_done, 32, "{label}");
+            assert_eq!(r.clamped_events, 0, "{label}");
+            assert_eq!(r.shards, if engine.sharded() { 2 } else { 1 }, "{label}");
+            assert_eq!(
+                (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
+                (finish, arrival, bulk),
+                "{label}"
+            );
+            assert_eq!(
+                (r.sim_events, r.soft_deliveries, r.fabric_sink_pauses),
+                counts,
+                "{label}"
+            );
+        }
     }
 }
 
@@ -304,7 +336,9 @@ fn incast_digests_pinned() {
 /// bulk digest also equals the per-packet reference (`simbench` gates
 /// that); on the 18-node incast it differs from the reference, as the
 /// per-link flow and per-flush train models did. Both runs pause sink
-/// deliveries, so the digests also cover the paused-sink path.
+/// deliveries, so the digests also cover the paused-sink path. The counts
+/// `(sim_events, soft_deliveries, fabric_sink_pauses)` were captured at
+/// commit bc4ea45, before soft deliveries moved onto the timing wheel.
 #[test]
 fn fanin_digests_pinned() {
     let bytes = 8 * 1024;
@@ -320,6 +354,7 @@ fn fanin_digests_pinned() {
             0xfc29_96e5_8ac0_3b15,
             0x266d_8c27_9299_a00d,
             0x80d6_b772_ea27_a371,
+            (42, 33, 1),
         ),
         (
             App::Incast {
@@ -332,20 +367,25 @@ fn fanin_digests_pinned() {
             0xb7ab_c6b3_270d_fae9,
             0x8eac_3c89_a2ce_cb93,
             0xa4e2_34e1_01de_cefd,
+            (91, 138, 10),
         ),
     ];
-    for (app, nodes, linger, finish, arrival, bulk) in golden {
+    for (app, nodes, linger, finish, arrival, bulk, counts) in golden {
         let mut cfg = paper_config(OsConfig::McKernelHfi, app, nodes, Some(1));
         if let Some(lg) = linger {
-            cfg.flow_linger_ns = lg;
+            cfg.sink_linger_ns = lg;
         }
         let r = run_app(cfg, app, 1);
         assert_eq!(r.ranks_done, nodes, "{nodes} nodes");
         assert_eq!(r.clamped_events, 0, "{nodes} nodes");
-        assert!(r.fabric_sink_pauses > 0, "{nodes} nodes");
         assert_eq!(
             (r.finish.digest(), r.arrival_digest, r.arrival_digest_bulk),
             (finish, arrival, bulk),
+            "{nodes} nodes"
+        );
+        assert_eq!(
+            (r.sim_events, r.soft_deliveries, r.fabric_sink_pauses),
+            counts,
             "{nodes} nodes"
         );
     }
