@@ -4,7 +4,10 @@
 #
 #   ./ci.sh          tier-1 (release build + full test suite) + the
 #                    benchmark self-test + clippy (workspace and benchmark
-#                    crate) + fmt check + the reduced simbench smoke gate
+#                    crate) + fmt check + the figure drift check (fig4,
+#                    fig8, fig9, table1 and ablations must print exactly
+#                    their committed results/*.txt) + the reduced simbench
+#                    smoke gate
 #                    (wheel ≥2× heap in the best of 3 interleaved
 #                    wheel/heap rounds; Incast against the per-packet
 #                    reference: ping-pong ≥20× fewer events, Qbox ≥5×,
@@ -45,6 +48,15 @@ cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== rustfmt check =="
 cargo fmt --all --check
+
+echo "== figure drift (fig4, fig8, fig9, table1, ablations vs results/*.txt) =="
+cargo build --release -p pico-bench --bins
+for fig in fig4 fig8 fig9 table1 ablations; do
+    if ! diff -u "results/$fig.txt" <("${CARGO_TARGET_DIR:-target}/release/$fig" 2>&1); then
+        echo "results/$fig.txt differs from what the $fig binary prints" >&2
+        exit 1
+    fi
+done
 
 echo "== simbench smoke gate (queue speedup, coalescing vs per-packet reference, clamped events) =="
 cargo run --release -p pico-bench --bin simbench -- --smoke

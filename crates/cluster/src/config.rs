@@ -1,7 +1,7 @@
 //! Cluster configuration: the three OS configurations of the evaluation
 //! plus every knob the ablation benches sweep.
 
-use pico_apps::JobShape;
+use pico_apps::{App, JobShape};
 use pico_fabric::FabricConfig;
 use pico_ihk::IkcConfig;
 use pico_linux::NoiseConfig;
@@ -267,6 +267,24 @@ impl ClusterConfig {
         }
         Ok(())
     }
+}
+
+/// Convenience: the paper configuration for `os` at `nodes` ×
+/// `app.paper_ranks_per_node()` (scaled down by `rpn_override`).
+pub fn paper_config(
+    os: OsConfig,
+    app: App,
+    nodes: u32,
+    rpn_override: Option<u32>,
+) -> ClusterConfig {
+    let rpn = rpn_override.unwrap_or_else(|| app.paper_ranks_per_node());
+    ClusterConfig::paper(
+        os,
+        JobShape {
+            nodes,
+            ranks_per_node: rpn,
+        },
+    )
 }
 
 #[cfg(test)]

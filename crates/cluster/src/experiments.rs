@@ -4,8 +4,8 @@
 //! order-preserving [`par_map`] — each simulation is independent and
 //! deterministic, so the artifacts are identical at any worker count.
 
-use crate::config::OsConfig;
-use crate::world::{paper_config, run_app, RunResult};
+use crate::config::{paper_config, OsConfig};
+use crate::world::{run_app, RunResult};
 use pico_apps::App;
 use pico_ihk::Sysno;
 use pico_sim::{par_map, Json, Ns};

@@ -1,42 +1,31 @@
 //! The full-system simulator: N nodes, each composing the Linux model,
 //! the McKernel model, the HFI1 chip + driver, and (in the PicoDriver
 //! configuration) the fast path — driven by one deterministic event loop.
+//! The node's kernel model, and the time accounting of every system call
+//! and completion IRQ, live in the crate's `node` module (`node.rs`).
 //!
 //! Time accounting rules:
 //!
 //! * a rank owns a local clock; compute segments advance it through the
 //!   node's noise model;
-//! * kernel-visible operations advance it by the *route-dependent* cost:
-//!   local handling (Linux / fast path) or the full offload round trip
-//!   including queueing at the node's few Linux service cores;
-//! * SDMA completion IRQs are serviced by those same Linux cores, so IRQ
-//!   load and offloaded syscalls contend — a second-order effect the
-//!   paper's UMT collapse depends on;
+//! * kernel-visible operations advance it by their route-dependent cost
+//!   (see `node.rs`);
 //! * PSM has no progress thread: packets arriving while a rank computes
 //!   wait in its inbox until the rank re-enters the MPI library.
 
-use crate::config::{ClusterConfig, OsConfig};
+use crate::config::ClusterConfig;
+use crate::node::{self, Kernel, Node, RankKernel};
 use pico_apps::{App, AppSpec, JobShape};
 use pico_fabric::{Fabric, SinkInjection, TrainMember, TransferSchedule};
-use pico_hfi1::structs::LayoutSet;
-use pico_hfi1::{Hfi1Driver, HfiChip, HfiChipConfig, HfiDriverCosts, SdmaSubmission};
-use pico_ihk::{Delegator, ProxyRegistry, Sysno};
-use pico_linux::{LinuxCosts, NoiseConfig, NoiseSource, Vfs};
-use pico_mckernel::{BlockId, MckMmCosts, ScalableAllocator, SyscallTable};
-use pico_mem::{
-    AddressSpace, BuddyAllocator, Frames, MapPolicy, PhysAddr, SpaceTemplate, VirtAddr,
-};
-use pico_mpi::{BufTable, HostOp, MpiCall, MpiRank, StepResult};
+use pico_ihk::Sysno;
+use pico_linux::NoiseSource;
+use pico_mem::VirtAddr;
+use pico_mpi::{BufTable, MpiCall, MpiRank, StepResult};
 use pico_psm::{Endpoint, PsmAction, PsmPacket};
 use pico_sim::{
-    transfer_time, EventQueue, FastMap, FinishSketch, Ns, Rng, Sketch, TimeByKey, WheelProfile,
-    WindowSync,
+    transfer_time, EventQueue, FinishSketch, Ns, Rng, Sketch, TimeByKey, WheelProfile, WindowSync,
 };
-use picodriver::{CallbackKind, CallbackRef, CallbackTable, HfiFastPath, UnifiedKernelSpace};
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-const MMAP_BASE: VirtAddr = VirtAddr(0x7000_0000_0000);
 
 /// Events of the cluster simulation.
 enum Ev {
@@ -49,12 +38,7 @@ enum Ev {
         packet: PsmPacket,
     },
     /// Sender-side SDMA completion (IRQ handled, callbacks run).
-    SdmaSent {
-        rank: usize,
-        msg_id: u64,
-        window: u32,
-        va: u64,
-    },
+    SdmaSent(SentMember),
     /// A burst of packets that rode one fabric reservation: delivered
     /// member by member at their analytic arrivals (the event fires at
     /// the first one; members are in arrival order).
@@ -103,7 +87,8 @@ struct TrainPacket {
     packet: PsmPacket,
 }
 
-/// One member of an [`Ev::SdmaSentBatch`].
+/// One sender-side SDMA completion: an [`Ev::SdmaSent`], or a member of
+/// an [`Ev::SdmaSentBatch`].
 #[derive(Clone, Copy)]
 struct SentMember {
     rank: usize,
@@ -269,52 +254,17 @@ impl LinkIndex {
     }
 }
 
-/// One node's kernel + device complex. Under the flyweight model
-/// (`ClusterConfig::eager_node_model` off) exactly one template node per
-/// OS configuration boots for real; every instance then shares the
-/// template's immutable post-boot images — frame pool (`Frames::Shared`),
-/// driver reset registers and layouts (inside [`Hfi1Driver`]), the ported
-/// shadow (inside [`HfiFastPath`]), and the `Arc`ed unified kernel space
-/// and callback table — while carrying only compact private hot state
-/// (open files, TID store, per-core block pools).
-struct Node {
-    frames: Frames,
-    vfs: Vfs,
-    dev: pico_linux::DevId,
-    chip: HfiChip,
-    driver: Hfi1Driver,
-    fast: Option<HfiFastPath>,
-    delegator: Delegator,
-    proxies: ProxyRegistry,
-    // PicoDriver runtime pieces, exercised functionally per completion.
-    // Immutable after boot (the callback table's invocations and the
-    // unified space's queries are `&self`), so flyweight nodes share one
-    // allocation per OS configuration.
-    unified: Option<Arc<UnifiedKernelSpace>>,
-    callbacks: Option<Arc<CallbackTable>>,
-    cb_ref: Option<CallbackRef>,
-    lwk_alloc: Option<ScalableAllocator>,
-}
-
 /// One MPI rank's state.
 struct RankState {
     node: usize,
-    local: u32,
     engine: MpiRank,
     ep: Endpoint,
     bufs: BufTable,
-    space: AddressSpace,
-    dev_handle: u64,
-    ctxt: u32,
     clock: Ns,
     noise: NoiseSource,
     inbox: Vec<(u32, PsmPacket)>,
-    scratch: Vec<(VirtAddr, u64)>,
-    kprof: TimeByKey<Sysno>,
-    /// In-flight SDMA completion metadata, keyed `(msg_id, window)`.
-    /// Hot-path insert/remove per pipelined window — open-addressed
-    /// splitmix64 map, not SipHash.
-    meta: FastMap<(u64, u32), BlockId>,
+    /// The rank's kernel half: address space, device file, profile.
+    kernel: RankKernel,
     done: bool,
 }
 
@@ -468,7 +418,8 @@ impl RunResult {
 /// chasing the config struct.
 #[derive(Clone, Copy)]
 struct HotCfg {
-    os: OsConfig,
+    /// The node kernel's routes and costs.
+    kernel: Kernel,
     pio_base: Ns,
     pio_bw: f64,
     copy_bw: f64,
@@ -496,7 +447,7 @@ const SCRATCH_KEEP: usize = 1024;
 /// its capacity has grown well past it (hysteresis at 4× so steady
 /// medium-sized bursts never thrash the allocator).
 #[inline]
-fn shrink_scratch<T>(v: &mut Vec<T>) {
+pub(crate) fn shrink_scratch<T>(v: &mut Vec<T>) {
     if v.capacity() > 4 * SCRATCH_KEEP {
         v.shrink_to(SCRATCH_KEEP);
     }
@@ -530,8 +481,6 @@ fn merge_burst<T, K: Ord>(ring: &mut VecDeque<T>, old: usize, key: impl Fn(&T) -
 pub struct World {
     cfg: ClusterConfig,
     hot: HotCfg,
-    lc: LinuxCosts,
-    mmc: MckMmCosts,
     nodes: Vec<Node>,
     ranks: Vec<RankState>,
     fabric: Fabric,
@@ -556,7 +505,7 @@ pub struct World {
     fabric_member_scratch: Vec<TrainMember>,
     sched_scratch: Vec<TransferSchedule>,
     /// Pooled scratch for collecting batched SDMA completions across
-    /// the trains of one flush: `(seq, src_node, irq_start, cpu, member)`.
+    /// the trains of one flush: `(seq, src_node, injected, irq_cpu, member)`.
     sent_scratch: Vec<(u64, usize, Ns, Ns, SentMember)>,
     /// Global packet-emission counter backing [`PendingMember::seq`].
     emit_seq: u64,
@@ -687,103 +636,24 @@ impl World {
         let shape = cfg.shape;
         let spec = pico_apps::spec(app, shape);
         let root_rng = Rng::new(cfg.seed);
-
-        // Boot the address space of one local rank: buffers + scratch
-        // mmapped from the node's frame pool. The VA layout this produces
-        // is node-invariant, and the physical layout is node-invariant up
-        // to the node's `node_idx << 40` base — which is what lets the
-        // flyweight model boot it once and instantiate shifted views.
-        let boot_space = |frames: &mut Frames| -> (AddressSpace, BufTable) {
-            let policy = match cfg.os {
-                OsConfig::Linux => MapPolicy::Fragmented4k,
-                _ if cfg.lwk_large_pages => MapPolicy::ContiguousLarge,
-                _ => MapPolicy::Fragmented4k,
-            };
-            let pinned = cfg.os != OsConfig::Linux;
-            let mut space = AddressSpace::new(policy, MMAP_BASE);
-            let frames = frames.get_mut();
-            let mut bufs = BufTable::default();
-            for &bytes in &spec.buffer_bytes {
-                let (va, _) = space
-                    .mmap_anonymous(frames, bytes, pinned)
-                    .expect("buffer allocation failed: raise mem_per_node");
-                bufs.bufs.push(va.0);
-            }
-            let (sva, _) = space
-                .mmap_anonymous(frames, spec.scratch_bytes.max(4096), pinned)
-                .expect("scratch allocation failed");
-            bufs.scratch = sva.0;
-            (space, bufs)
-        };
-
-        let mut nodes = Vec::with_capacity(shape.nodes as usize);
-        // Flyweight model: per-local-rank frozen space templates + buffer
-        // tables from the template node's boot, stamped out everywhere.
-        let mut space_tpl: Vec<(SpaceTemplate, BufTable)> = Vec::new();
-        if cfg.eager_node_model {
-            for n in 0..shape.nodes {
-                nodes.push(Self::build_node(&cfg, n));
-            }
-        } else {
-            // Template boot: one real node per OS configuration. Its
-            // ranks' address spaces are booted for real against its frame
-            // pool, then everything immutable-after-boot is frozen behind
-            // `Arc` and every node instance (including node 0, for
-            // uniform copy-on-write behavior) becomes a flyweight view.
-            let mut template = Self::build_node(&cfg, 0);
-            let mut spaces = Vec::with_capacity(shape.ranks_per_node as usize);
-            for _ in 0..shape.ranks_per_node {
-                spaces.push(boot_space(&mut template.frames));
-            }
-            let booted = std::mem::replace(
-                &mut template.frames,
-                Frames::Owned(BuddyAllocator::new(PhysAddr(0), 4096)),
-            );
-            let image = match booted {
-                Frames::Owned(b) => Arc::new(b),
-                Frames::Shared { .. } => unreachable!("template node boots eagerly"),
-            };
-            for (space, bufs) in spaces {
-                space_tpl.push((space.freeze(), bufs));
-            }
-            for n in 0..shape.nodes {
-                nodes.push(Self::clone_node(&cfg, &template, &image, n));
-            }
-        }
-        let mut ranks = Vec::with_capacity(shape.nranks() as usize);
+        let (nodes, kernels) = node::boot(&cfg, &spec);
+        let noise_cfg = node::noise_config(&cfg);
+        let mut ranks = Vec::with_capacity(kernels.len());
         let mut skew_rng = root_rng.substream(7);
-        for g in 0..shape.nranks() {
-            let node = (g / shape.ranks_per_node) as usize;
-            let local = g % shape.ranks_per_node;
+        for (g, (kernel, bufs)) in (0..).zip(kernels) {
             let mut engine_cfg = spec.engine;
             engine_cfg.backed = cfg.backed;
             let program = pico_apps::program(app, shape, iters, g);
-            let noise_cfg = cfg.noise_override.unwrap_or(match cfg.os {
-                OsConfig::Linux => NoiseConfig::linux_nohz_full(),
-                _ => NoiseConfig::mckernel(),
-            });
-            let (space, bufs) = if cfg.eager_node_model {
-                boot_space(&mut nodes[node].frames)
-            } else {
-                let (tpl, bufs) = &space_tpl[local as usize];
-                (tpl.instantiate((node as u64) << 40), bufs.clone())
-            };
             ranks.push(RankState {
-                node,
-                local,
+                node: (g / shape.ranks_per_node) as usize,
                 engine: MpiRank::new(g, shape.nranks(), engine_cfg, program),
                 ep: Endpoint::new(g, cfg.psm),
                 bufs,
-                space,
-                dev_handle: 0,
-                ctxt: 0,
                 // The launch skew: the rank's first wake.
                 clock: Ns(skew_rng.gen_range(cfg.launch_skew.0.max(1))),
                 noise: NoiseSource::new(noise_cfg, root_rng.substream(1000 + g as u64)),
                 inbox: Vec::new(),
-                scratch: Vec::new(),
-                kprof: TimeByKey::new(),
-                meta: FastMap::new(),
+                kernel,
                 done: false,
             });
         }
@@ -807,7 +677,7 @@ impl World {
     ) -> World {
         let (count, nranks) = (nodes.len(), ranks.len());
         let hot = HotCfg {
-            os: cfg.os,
+            kernel: Kernel::new(&cfg),
             pio_base: cfg.pio_base,
             pio_bw: cfg.pio_bw,
             copy_bw: cfg.copy_bw,
@@ -819,8 +689,6 @@ impl World {
             queue: EventQueue::with_coarse_bits(cfg.wheel_coarse_bits),
             cfg,
             hot,
-            lc: LinuxCosts::default(),
-            mmc: MckMmCosts::default(),
             nodes,
             ranks,
             delivered_payloads: 0,
@@ -875,118 +743,6 @@ impl World {
         w
     }
 
-    /// Boot one node for real: buddy allocator, chip, driver probe, and —
-    /// in the PicoDriver configuration — the DWARF port, the unified VA
-    /// space, and the callback table. The eager model calls this per
-    /// node; the flyweight model calls it exactly once per OS
-    /// configuration and stamps the rest out with [`Self::clone_node`].
-    fn build_node(cfg: &ClusterConfig, node_idx: u32) -> Node {
-        let base = PhysAddr(node_idx as u64 * (1 << 40));
-        let mut frames = BuddyAllocator::new(base, cfg.mem_per_node);
-        if cfg.os == OsConfig::Linux {
-            // A long-running host has fragmented physical memory.
-            frames.fragment(cfg.host_fragmentation);
-        } else if !cfg.lwk_large_pages {
-            // Ablation: an LWK without the contiguity guarantee — fully
-            // checkerboarded memory degenerates the fast path to 4 KiB
-            // requests.
-            frames.fragment(1.0);
-        }
-        let mut vfs = Vfs::new();
-        let dev = vfs.devices.register("hfi1_0");
-        let layouts = LayoutSet::v10_8();
-        // The eager reference model keeps the dense RcvArray / free-TID
-        // layout; the flyweight model uses the compact first-touch store
-        // (bit-identical TID sequences, tested in `pico_hfi1::chip`).
-        let nctxt = cfg.shape.ranks_per_node as usize + 2;
-        let chip = if cfg.eager_node_model {
-            HfiChip::new(HfiChipConfig::default(), nctxt)
-        } else {
-            HfiChip::new_compact(HfiChipConfig::default(), nctxt)
-        };
-        let driver = Hfi1Driver::new(layouts.clone(), HfiDriverCosts::default(), 16);
-        let (fast, unified, callbacks, cb_ref, lwk_alloc) = if cfg.os == OsConfig::McKernelHfi {
-            let module = layouts.emit_module_binary();
-            let shadow = picodriver::HfiShadow::port(&module).expect("DWARF port failed");
-            let mut fp = HfiFastPath::new(shadow, Default::default(), cfg.tid_cache);
-            fp.sdma_cap = cfg.sdma_cap;
-            let unified = UnifiedKernelSpace::boot().expect("VA unification failed");
-            let mut table = CallbackTable::new(&unified);
-            let cb = table.register(CallbackKind::SdmaCompleteLwkFree);
-            let alloc = ScalableAllocator::new(cfg.shape.ranks_per_node as usize, 8192);
-            (
-                Some(fp),
-                Some(Arc::new(unified)),
-                Some(Arc::new(table)),
-                Some(cb),
-                Some(alloc),
-            )
-        } else {
-            (None, None, None, None, None)
-        };
-        // Sanity: the syscall routing table matches the configuration.
-        let table = match cfg.os {
-            OsConfig::McKernelHfi => SyscallTable::with_hfi_picodriver(),
-            _ => SyscallTable::base(),
-        };
-        debug_assert_eq!(
-            table.has_fastpath(Sysno::Writev),
-            cfg.os == OsConfig::McKernelHfi
-        );
-        Node {
-            frames: Frames::Owned(frames),
-            vfs,
-            dev,
-            chip,
-            driver,
-            fast,
-            delegator: Delegator::new(cfg.ikc, cfg.service_cores),
-            proxies: ProxyRegistry::new(),
-            unified,
-            callbacks,
-            cb_ref,
-            lwk_alloc,
-        }
-    }
-
-    /// Stamp out node `node_idx` from the booted template: share every
-    /// immutable post-boot image (`Arc` clones — the frame pool view is
-    /// shifted by the node's physical base) and build only the compact
-    /// private hot state fresh. This is the whole per-node boot cost of
-    /// the flyweight model.
-    fn clone_node(
-        cfg: &ClusterConfig,
-        template: &Node,
-        image: &Arc<BuddyAllocator>,
-        node_idx: u32,
-    ) -> Node {
-        let mut vfs = Vfs::new();
-        let dev = vfs.devices.register("hfi1_0");
-        Node {
-            frames: Frames::Shared {
-                image: Arc::clone(image),
-                delta: (node_idx as u64) << 40,
-            },
-            vfs,
-            dev,
-            chip: HfiChip::new_compact(
-                HfiChipConfig::default(),
-                cfg.shape.ranks_per_node as usize + 2,
-            ),
-            driver: template.driver.clone_fresh(),
-            fast: template.fast.as_ref().map(HfiFastPath::clone_fresh),
-            delegator: Delegator::new(cfg.ikc, cfg.service_cores),
-            proxies: ProxyRegistry::new(),
-            unified: template.unified.clone(),
-            callbacks: template.callbacks.clone(),
-            cb_ref: template.cb_ref,
-            lwk_alloc: template
-                .lwk_alloc
-                .as_ref()
-                .map(|_| ScalableAllocator::new(cfg.shape.ranks_per_node as usize, 8192)),
-        }
-    }
-
     /// Debug dump of stuck ranks (used when a run fails to complete).
     pub fn debug_stuck(&self) -> String {
         let mut out = String::new();
@@ -1033,7 +789,7 @@ impl World {
         match ev {
             Ev::Wake(r) => Some(self.ranks[(*r) - self.rank_base].node),
             Ev::Packet { dst, .. } => Some(self.ranks[(*dst) - self.rank_base].node),
-            Ev::SdmaSent { rank, .. } => Some(self.ranks[(*rank) - self.rank_base].node),
+            Ev::SdmaSent(m) => Some(self.ranks[m.rank - self.rank_base].node),
             Ev::PacketTrain { members } => {
                 let d = members[0].dst;
                 Some(self.ranks[(d) - self.rank_base].node)
@@ -1369,53 +1125,11 @@ impl World {
                     self.run_rank(dst, now);
                 }
             }
-            Ev::SdmaSent {
-                rank,
-                msg_id,
-                window,
-                va,
-            } => {
-                self.on_sdma_sent(rank, msg_id, window, va);
-                let now = t.max(self.ranks[(rank) - self.rank_base].clock);
-                if !self.ranks[(rank) - self.rank_base].done {
-                    self.run_rank(rank, now);
-                }
-            }
+            Ev::SdmaSent(m) => self.on_sdma_sent(t, &[m]),
             Ev::PacketTrain { members } => {
                 self.on_packet_train(VecDeque::from(members), TrainSource::Event);
             }
-            Ev::SdmaSentBatch { members } => {
-                // Windows of one message complete together: advance each
-                // endpoint once per `(rank, msg_id)` group instead of
-                // once per window.
-                let mut i = 0;
-                while i < members.len() {
-                    let mut j = i + 1;
-                    while j < members.len()
-                        && (members[j].rank, members[j].msg_id)
-                            == (members[i].rank, members[i].msg_id)
-                    {
-                        j += 1;
-                    }
-                    self.on_sdma_sent_group(&members[i..j]);
-                    i = j;
-                }
-                // One run per distinct sender rank, deduplicated by
-                // epoch stamp — a rescan of the member prefix was
-                // O(m²) in the batch width on the incast hot loop.
-                self.sent_seen_epoch += 1;
-                let epoch = self.sent_seen_epoch;
-                for m in members.iter() {
-                    if self.sent_seen[m.rank - self.rank_base] == epoch {
-                        continue;
-                    }
-                    self.sent_seen[m.rank - self.rank_base] = epoch;
-                    if !self.ranks[(m.rank) - self.rank_base].done {
-                        let now = t.max(self.ranks[(m.rank) - self.rank_base].clock);
-                        self.run_rank(m.rank, now);
-                    }
-                }
-            }
+            Ev::SdmaSentBatch { members } => self.on_sdma_sent(t, &members),
             Ev::SinkDeliver { slot } => {
                 let si = slot - self.node_base;
                 let members = std::mem::take(&mut self.sinks[si].members);
@@ -1488,7 +1202,8 @@ impl World {
                     return;
                 }
                 StepResult::HostCall(op) => {
-                    now = self.do_host_op(r, op, now);
+                    let (k, node, rank) = self.kernel_of(r);
+                    k.host_op(node, rank, op, &mut now);
                 }
                 StepResult::Blocked => {
                     let rank = &mut self.ranks[(r) - self.rank_base];
@@ -1595,35 +1310,23 @@ impl World {
         }
         let mut sent = std::mem::take(&mut self.sent_scratch);
         sent.sort_by_key(|&(seq, ..)| seq);
+        let kernel = self.hot.kernel;
         let mut i = 0;
         while i < sent.len() {
-            let (_, node, start, cpu, first) = sent[i];
-            let mut at = self.nodes[(node) - self.node_base]
-                .delegator
-                .service(start, cpu)
-                .finish;
+            let (_, node, injected, cpu, first) = sent[i];
+            let node = &mut self.nodes[node - self.node_base];
+            let mut at = kernel.sdma_irq(node, injected, cpu);
             let mut j = i + 1;
-            while j < sent.len() {
-                let (_, n2, s2, c2, m2) = sent[j];
+            while let Some(&(_, n2, s2, c2, m2)) = sent.get(j) {
                 if (m2.rank, m2.msg_id) != (first.rank, first.msg_id) {
                     break;
                 }
-                debug_assert_eq!(n2, node, "one message stays on one node");
-                at = at.max(
-                    self.nodes[(n2) - self.node_base]
-                        .delegator
-                        .service(s2, c2)
-                        .finish,
-                );
+                debug_assert_eq!(n2, sent[i].1, "one message stays on one node");
+                at = at.max(kernel.sdma_irq(node, s2, c2));
                 j += 1;
             }
             let ev = if j - i == 1 {
-                Ev::SdmaSent {
-                    rank: first.rank,
-                    msg_id: first.msg_id,
-                    window: first.window,
-                    va: first.va,
-                }
+                Ev::SdmaSent(first)
             } else {
                 let group: Vec<SentMember> = sent[i..j].iter().map(|&(.., m)| m).collect();
                 Ev::SdmaSentBatch { members: group }
@@ -1677,18 +1380,13 @@ impl World {
     ) {
         for (m, at) in members.iter().zip(injected) {
             if let Some((rank, msg_id, window, va, cpu)) = m.completion {
-                self.sent_scratch.push((
-                    m.seq,
-                    src_node,
-                    at + self.lc.irq_entry,
-                    cpu,
-                    SentMember {
-                        rank,
-                        msg_id,
-                        window,
-                        va,
-                    },
-                ));
+                let member = SentMember {
+                    rank,
+                    msg_id,
+                    window,
+                    va,
+                };
+                self.sent_scratch.push((m.seq, src_node, at, cpu, member));
             }
         }
     }
@@ -2128,41 +1826,22 @@ impl World {
             PsmAction::PioSend { dst, packet } => {
                 let bytes = packet.wire_bytes();
                 *now += self.hot.pio_base + transfer_time(bytes, self.hot.pio_bw);
-                let src_node = self.ranks[(r) - self.rank_base].node;
-                // Arithmetic node lookup: the destination rank may live
-                // on another shard, so its state cannot be touched here.
-                let dst_node = dst as usize / self.hot.rpn;
-                // PIO packets ride the wire in ~8 KB chunks.
-                let nreqs = bytes.div_ceil(8 * 1024).max(1);
-                self.nodes[(src_node) - self.node_base].chip.record_pio();
-                let src = self.ranks[(r) - self.rank_base].engine.rank();
-                if self.hot.incast {
-                    self.enqueue_member(
-                        src_node,
-                        dst_node,
-                        PendingMember {
-                            seq: 0, // assigned by enqueue_member
-                            at: *now,
-                            dst: dst as usize,
-                            src,
-                            bytes,
-                            nreqs,
-                            packet,
-                            completion: None,
-                        },
-                    );
-                } else {
-                    let sched = self.fabric.transfer(*now, src_node, dst_node, bytes, nreqs);
-                    self.digest_arrival(sched.arrival, dst as usize, src, bytes);
-                    self.schedule_ev(
-                        sched.arrival,
-                        Ev::Packet {
-                            dst: dst as usize,
-                            src,
-                            packet,
-                        },
-                    );
-                }
+                let node = self.ranks[r - self.rank_base].node;
+                self.nodes[node - self.node_base].chip.record_pio();
+                self.send(
+                    r,
+                    PendingMember {
+                        seq: 0, // assigned by enqueue_member
+                        at: *now,
+                        dst: dst as usize,
+                        src: self.ranks[r - self.rank_base].engine.rank(),
+                        bytes,
+                        // PIO packets ride the wire in ~8 KB chunks.
+                        nreqs: bytes.div_ceil(8 * 1024).max(1),
+                        packet,
+                        completion: None,
+                    },
+                );
             }
             PsmAction::TidRegister {
                 src,
@@ -2171,13 +1850,15 @@ impl World {
                 va,
                 len,
             } => {
-                let tids = self.sys_tid_register(r, VirtAddr(va), len, now);
+                let (k, node, rank) = self.kernel_of(r);
+                let tids = k.tid_register(node, rank, VirtAddr(va), len, now);
                 self.ranks[(r) - self.rank_base]
                     .ep
                     .on_tid_registered(src, msg_id, window, tids);
             }
             PsmAction::TidUnregister { tids, va, len, .. } => {
-                self.sys_tid_unregister(r, VirtAddr(va), len, &tids, now);
+                let (k, node, rank) = self.kernel_of(r);
+                k.tid_unregister(node, rank, (VirtAddr(va), len), &tids, now);
             }
             PsmAction::SdmaSend {
                 dst,
@@ -2187,7 +1868,38 @@ impl World {
                 len,
                 payload,
             } => {
-                self.sys_sdma_send(r, dst, msg_id, window, VirtAddr(va), len, payload, now);
+                let (k, node, rank) = self.kernel_of(r);
+                let sub = k.sdma_send(node, rank, (msg_id, window), VirtAddr(va), len, now);
+                let member = PendingMember {
+                    seq: 0, // assigned by enqueue_member
+                    at: sub.wire_at,
+                    dst: dst as usize,
+                    src: self.ranks[r - self.rank_base].engine.rank(),
+                    bytes: len + 64,
+                    nreqs: sub.nreqs,
+                    packet: PsmPacket::SdmaData {
+                        msg_id,
+                        window,
+                        len,
+                        payload,
+                    },
+                    completion: Some((r, msg_id, window, va, sub.irq_cpu)),
+                };
+                // Under `Incast` the sender's completion IRQ is serviced
+                // (and the delegator charged) when the train's fabric
+                // schedule is known, at flush time.
+                if let Some(sched) = self.send(r, member) {
+                    let node =
+                        &mut self.nodes[self.ranks[r - self.rank_base].node - self.node_base];
+                    let done = self.hot.kernel.sdma_irq(node, sched.injected, sub.irq_cpu);
+                    let m = SentMember {
+                        rank: r,
+                        msg_id,
+                        window,
+                        va,
+                    };
+                    self.schedule_ev(done, Ev::SdmaSent(m));
+                }
             }
             PsmAction::Completed { handle, payload } => {
                 if let Some(p) = payload.as_deref() {
@@ -2213,538 +1925,69 @@ impl World {
         }
     }
 
-    // ---- kernel operation executors ---------------------------------------
-
-    fn sys_tid_register(&mut self, r: usize, va: VirtAddr, len: u64, now: &mut Ns) -> Vec<u16> {
-        let start = *now;
-        let node = self.ranks[(r) - self.rank_base].node;
-        let (tids, route_done) = match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let node = &mut self.nodes[(node) - self.node_base];
-                let reg = node
-                    .driver
-                    .tid_update(
-                        &mut node.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("TID registration failed");
-                let cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + reg.cpu;
-                (reg.tids, *now + cpu)
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let reg = noderef
-                    .driver
-                    .tid_update(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("TID registration failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + reg.cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Ioctl, service);
-                (reg.tids, grant.complete)
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                let reg = fast
-                    .tid_update(&mut noderef.chip, &rank.space, rank.ctxt, va, len)
-                    .expect("fast TID registration failed");
-                (reg.tids, *now + reg.cpu)
-            }
-        };
-        *now = route_done;
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Ioctl, *now - start);
-        tids
-    }
-
-    fn sys_tid_unregister(&mut self, r: usize, va: VirtAddr, len: u64, tids: &[u16], now: &mut Ns) {
-        let start = *now;
-        let node = self.ranks[(r) - self.rank_base].node;
-        match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let cpu = noderef
-                    .driver
-                    .tid_free(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        tids,
-                    )
-                    .expect("TID free failed");
-                *now += self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let cpu = noderef
-                    .driver
-                    .tid_free(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        tids,
-                    )
-                    .expect("TID free failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Ioctl, service);
-                *now = grant.complete;
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                let cpu = fast
-                    .tid_free(&mut noderef.chip, rank.ctxt, va, len, tids, false)
-                    .expect("fast TID free failed");
-                *now += cpu;
-            }
-        }
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Ioctl, *now - start);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sys_sdma_send(
-        &mut self,
-        r: usize,
-        dst: u32,
-        msg_id: u64,
-        window: u32,
-        va: VirtAddr,
-        len: u64,
-        payload: Option<Vec<u8>>,
-        now: &mut Ns,
-    ) {
-        let start = *now;
-        let node_idx = self.ranks[(r) - self.rank_base].node;
-        let (sub, wire_start): (SdmaSubmission, Ns) = match self.hot.os {
-            OsConfig::Linux => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let sub = noderef
-                    .driver
-                    .sdma_writev(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("writev failed");
-                let cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + sub.cpu;
-                *now += cpu;
-                (sub, *now)
-            }
-            OsConfig::McKernel => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let sub = noderef
-                    .driver
-                    .sdma_writev(
-                        &mut noderef.chip,
-                        &mut rank.space,
-                        rank.dev_handle,
-                        va,
-                        len,
-                        &self.lc,
-                    )
-                    .expect("writev failed");
-                let service = self.lc.syscall_entry + self.lc.vfs_dispatch + sub.cpu;
-                let grant = noderef.delegator.offload(*now, Sysno::Writev, service);
-                *now = grant.complete;
-                (sub, grant.linux_done)
-            }
-            OsConfig::McKernelHfi => {
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let fast = noderef.fast.as_mut().expect("fast path present");
-                // Cross-kernel read of the live driver engine state via
-                // DWARF-extracted offsets.
-                let state = noderef.driver.sdma_state(0).bytes();
-                let sub = fast
-                    .sdma_writev(&mut noderef.chip, &rank.space, state, va, len, 0)
-                    .expect("fast writev failed");
-                *now += sub.cpu;
-                // Allocate completion metadata from the LWK per-core pool
-                // (freed later from a Linux CPU via the ported callback).
-                if let Some(alloc) = noderef.lwk_alloc.as_ref() {
-                    if let Ok(block) = alloc.alloc(rank.local as usize) {
-                        rank.meta.insert((msg_id, window), block);
-                    }
-                }
-                (sub, *now)
-            }
-        };
-        self.ranks[(r) - self.rank_base]
-            .kprof
-            .record(Sysno::Writev, *now - start);
-        // Wire the window to the destination node (arithmetically: the
-        // destination rank may belong to a different shard).
-        let dst_node = dst as usize / self.hot.rpn;
-        let packet = PsmPacket::SdmaData {
-            msg_id,
-            window,
-            len,
-            payload,
-        };
-        // Sender-side completion IRQ: handled on the Linux service cores
-        // (McKernel handles no device interrupts).
-        let completion_cpu = self.nodes[(node_idx) - self.node_base]
-            .driver
-            .costs()
-            .completion
-            + self.lc.kmalloc_pair;
+    /// Put a packet rank `r` handed its NIC at `m.at` on the wire: into
+    /// its link's train accumulator (`Incast`), or through the fabric as
+    /// its own `Ev::Packet` (the per-packet reference), whose schedule is
+    /// returned. The destination node is arithmetic: the destination rank
+    /// may live on another shard, so its state cannot be touched here.
+    fn send(&mut self, r: usize, m: PendingMember) -> Option<TransferSchedule> {
+        let src_node = self.ranks[r - self.rank_base].node;
+        let dst_node = m.dst / self.hot.rpn;
         if self.hot.incast {
-            // Pipelined windows of one flush ride the wire as a train;
-            // the IRQ is serviced (and the delegator charged) when the
-            // train's fabric schedule is known, at flush time.
-            self.enqueue_member(
-                node_idx,
-                dst_node,
-                PendingMember {
-                    seq: 0, // assigned by enqueue_member
-                    at: wire_start,
-                    dst: dst as usize,
-                    src: self.ranks[(r) - self.rank_base].engine.rank(),
-                    bytes: len + 64,
-                    nreqs: sub.nreqs,
-                    packet,
-                    completion: Some((r, msg_id, window, va.0, completion_cpu)),
-                },
-            );
-            return;
+            self.enqueue_member(src_node, dst_node, m);
+            return None;
         }
         let sched = self
             .fabric
-            .transfer(wire_start, node_idx, dst_node, len + 64, sub.nreqs);
-        let src_rank = self.ranks[(r) - self.rank_base].engine.rank();
-        self.digest_arrival(sched.arrival, dst as usize, src_rank, len + 64);
-        self.schedule_ev(
-            sched.arrival,
-            Ev::Packet {
-                dst: dst as usize,
-                src: src_rank,
-                packet,
-            },
-        );
-        let grant = self.nodes[(node_idx) - self.node_base]
-            .delegator
-            .service(sched.injected + self.lc.irq_entry, completion_cpu);
-        self.schedule_ev(
-            grant.finish,
-            Ev::SdmaSent {
-                rank: r,
-                msg_id,
-                window,
-                va: va.0,
-            },
-        );
+            .transfer(m.at, src_node, dst_node, m.bytes, m.nreqs);
+        self.digest_arrival(sched.arrival, m.dst, m.src, m.bytes);
+        let ev = Ev::Packet {
+            dst: m.dst,
+            src: m.src,
+            packet: m.packet,
+        };
+        self.schedule_ev(sched.arrival, ev);
+        Some(sched)
     }
 
-    fn on_sdma_sent(&mut self, r: usize, msg_id: u64, window: u32, va: u64) {
-        self.sdma_complete_kernel(r, msg_id, window, va);
-        self.ranks[(r) - self.rank_base]
-            .ep
-            .on_sdma_sent(msg_id, window);
+    // ---- calls into the node kernel (node.rs) -----------------------------
+
+    /// Rank `r`'s kernel half and its node, with the kernel model that
+    /// runs their calls.
+    fn kernel_of(&mut self, r: usize) -> (&Kernel, &mut Node, &mut RankKernel) {
+        let rank = &mut self.ranks[r - self.rank_base];
+        let node = &mut self.nodes[rank.node - self.node_base];
+        (&self.hot.kernel, node, &mut rank.kernel)
     }
 
-    /// Batched sender-side completions for one `(rank, msg_id)` group:
-    /// the kernel-side callback runs per window (each IRQ frees its own
-    /// metadata), but the endpoint's progress state advances once for the
-    /// whole group.
-    fn on_sdma_sent_group(&mut self, members: &[SentMember]) {
+    /// Sender-side SDMA completions landing at `t` (an `Ev::SdmaSent` is
+    /// a batch of one). The kernel-side callback runs per window (each
+    /// IRQ frees its own metadata), but windows of one message complete
+    /// together: each endpoint advances once per `(rank, msg_id)` group,
+    /// and each sender rank then runs once.
+    fn on_sdma_sent(&mut self, t: Ns, members: &[SentMember]) {
+        for group in members.chunk_by(|a, b| (a.rank, a.msg_id) == (b.rank, b.msg_id)) {
+            for m in group {
+                let (k, node, rank) = self.kernel_of(m.rank);
+                k.sdma_complete(node, rank, (m.msg_id, m.window), m.va);
+            }
+            self.ranks[group[0].rank - self.rank_base]
+                .ep
+                .on_sdma_sent_batch(group[0].msg_id, group.len() as u32);
+        }
+        // One run per distinct sender rank, deduplicated by epoch stamp —
+        // a rescan of the member prefix was O(m²) in the batch width on
+        // the incast hot loop.
+        self.sent_seen_epoch += 1;
+        let epoch = self.sent_seen_epoch;
         for m in members {
-            self.sdma_complete_kernel(m.rank, m.msg_id, m.window, m.va);
-        }
-        let first = members[0];
-        self.ranks[(first.rank) - self.rank_base]
-            .ep
-            .on_sdma_sent_batch(first.msg_id, members.len() as u32);
-    }
-
-    /// Kernel/driver half of an SDMA completion IRQ (everything but the
-    /// endpoint progress update).
-    fn sdma_complete_kernel(&mut self, r: usize, msg_id: u64, window: u32, va: u64) {
-        let node_idx = self.ranks[(r) - self.rank_base].node;
-        match self.hot.os {
-            OsConfig::Linux | OsConfig::McKernel => {
-                // The original completion callback: unpin + Linux kfree.
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                let _ = noderef.driver.sdma_complete(
-                    &mut rank.space,
-                    rank.dev_handle,
-                    VirtAddr(va),
-                    &self.lc,
-                );
+            let r = m.rank - self.rank_base;
+            if self.sent_seen[r] == epoch || self.ranks[r].done {
+                continue;
             }
-            OsConfig::McKernelHfi => {
-                // The duplicated callback in McKernel TEXT, invoked from
-                // the Linux IRQ context: frees LWK metadata remotely.
-                let rank = &mut self.ranks[(r) - self.rank_base];
-                let noderef = &self.nodes[(node_idx) - self.node_base];
-                if let Some(block) = rank.meta.remove(&(msg_id, window)) {
-                    let (Some(table), Some(cb), Some(unified), Some(alloc)) = (
-                        noderef.callbacks.as_deref(),
-                        noderef.cb_ref,
-                        noderef.unified.as_deref(),
-                        noderef.lwk_alloc.as_ref(),
-                    ) else {
-                        unreachable!("picodriver pieces present in +HFI config");
-                    };
-                    table
-                        .invoke_from_linux(unified, cb, alloc, 0, block)
-                        .expect("completion callback failed");
-                }
-            }
-        }
-    }
-
-    // ---- host (non-PSM) operations -----------------------------------------
-
-    fn do_host_op(&mut self, r: usize, op: HostOp, mut now: Ns) -> Ns {
-        let node_idx = self.ranks[(r) - self.rank_base].node;
-        match op {
-            HostOp::InitDevice => {
-                let start = now;
-                let rank_global = self.ranks[(r) - self.rank_base].engine.rank();
-                // Proxy process + device open + 6 device-region mmaps.
-                let open_cpu;
-                {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    let pid = noderef.proxies.spawn(rank_global);
-                    let (handle, ctxt, cpu) = noderef
-                        .driver
-                        .open(&mut noderef.chip)
-                        .expect("device open failed");
-                    let fd = noderef
-                        .vfs
-                        .open(pid, noderef.dev, handle)
-                        .expect("vfs open failed");
-                    debug_assert!(fd >= 3);
-                    rank.dev_handle = handle;
-                    rank.ctxt = ctxt;
-                    open_cpu = self.lc.syscall_entry + self.lc.vfs_dispatch + cpu;
-                }
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, open_cpu);
-                        for _ in 0..6 {
-                            let cpu = self.lc.syscall_entry
-                                + self.nodes[(node_idx) - self.node_base].driver.dev_mmap();
-                            now += cpu;
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(Sysno::Mmap, cpu);
-                        }
-                    }
-                    OsConfig::McKernel | OsConfig::McKernelHfi => {
-                        let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                            now,
-                            Sysno::Open,
-                            open_cpu,
-                        );
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, g.complete - now);
-                        now = g.complete;
-                        for _ in 0..6 {
-                            let service = self.lc.syscall_entry
-                                + self.nodes[(node_idx) - self.node_base].driver.dev_mmap();
-                            let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                                now,
-                                Sysno::Mmap,
-                                service,
-                            );
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(Sysno::Mmap, g.complete - now);
-                            now = g.complete;
-                        }
-                        if self.cfg.os == OsConfig::McKernelHfi {
-                            // LWK-side initialization of the driver-internal
-                            // mappings and the DWARF-ported structures.
-                            now += self.cfg.pico_init_cost;
-                        }
-                    }
-                }
-                let _ = start;
-                now
-            }
-            HostOp::FiniDevice => {
-                let rank_global = self.ranks[(r) - self.rank_base].engine.rank();
-                let close_cpu;
-                {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    close_cpu = noderef
-                        .driver
-                        .close(&mut noderef.chip, rank.dev_handle)
-                        .unwrap_or(Ns::ZERO)
-                        + self.lc.syscall_entry;
-                    noderef.proxies.reap(rank_global);
-                }
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += close_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, close_cpu);
-                    }
-                    _ => {
-                        let g = self.nodes[(node_idx) - self.node_base].delegator.offload(
-                            now,
-                            Sysno::Close,
-                            close_cpu,
-                        );
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, g.complete - now);
-                        now = g.complete;
-                    }
-                }
-                now
-            }
-            HostOp::MmapScratch { bytes } => {
-                let pinned = self.cfg.os != OsConfig::Linux;
-                let (leaves, va) = {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    let (va, stats) = rank
-                        .space
-                        .mmap_anonymous(noderef.frames.get_mut(), bytes, pinned)
-                        .expect("scratch mmap failed");
-                    rank.scratch.push((va, bytes));
-                    (stats.leaves_mapped, va)
-                };
-                let _ = va;
-                // Linux maps lazily and uses THP: charge per 2 MiB
-                // granule, not per populated 4 KiB leaf.
-                let thp = bytes.div_ceil(2 << 20);
-                let cpu = match self.cfg.os {
-                    OsConfig::Linux => {
-                        self.lc.syscall_entry + self.lc.mmap_base + self.lc.mmap_per_page * thp
-                    }
-                    _ => {
-                        self.mmc.syscall_entry
-                            + self.mmc.mmap_base
-                            + self.mmc.mmap_per_leaf * leaves
-                    }
-                };
-                now += cpu;
-                self.ranks[(r) - self.rank_base]
-                    .kprof
-                    .record(Sysno::Mmap, cpu);
-                now
-            }
-            HostOp::MunmapScratch => {
-                let Some((va, len)) = self.ranks[(r) - self.rank_base].scratch.pop() else {
-                    return now;
-                };
-                shrink_scratch(&mut self.ranks[(r) - self.rank_base].scratch);
-                let leaves = {
-                    let rank = &mut self.ranks[(r) - self.rank_base];
-                    let noderef = &mut self.nodes[(node_idx) - self.node_base];
-                    if self.cfg.os == OsConfig::McKernelHfi {
-                        // Invalidate cached TID registrations overlapping
-                        // the unmapped range before teardown.
-                        let ctxt = rank.ctxt;
-                        let fast = noderef.fast.as_mut().expect("fast path");
-                        let _ = fast.invalidate_range(&mut noderef.chip, ctxt, va, len);
-                    }
-                    rank.space
-                        .munmap(noderef.frames.get_mut(), va)
-                        .expect("scratch munmap failed")
-                };
-                let thp = len.div_ceil(2 << 20);
-                let cpu = match self.cfg.os {
-                    OsConfig::Linux => {
-                        self.lc.syscall_entry + self.lc.munmap_base + self.lc.munmap_per_page * thp
-                    }
-                    // McKernel munmap: teardown + cross-kernel TLB
-                    // shootdown — the QBOX-dominating cost (Fig. 9).
-                    _ => {
-                        self.mmc.syscall_entry
-                            + self.mmc.munmap_base
-                            + self.mmc.munmap_per_leaf * leaves
-                            + self.mmc.tlb_shootdown
-                    }
-                };
-                now += cpu;
-                self.ranks[(r) - self.rank_base]
-                    .kprof
-                    .record(Sysno::Munmap, cpu);
-                now
-            }
-            HostOp::ReadInput { bytes } => {
-                let read_cpu = self.lc.syscall_entry + transfer_time(bytes, 2.0e9);
-                let open_cpu = self.lc.syscall_entry + self.lc.vfs_dispatch;
-                match self.cfg.os {
-                    OsConfig::Linux => {
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Open, open_cpu);
-                        now += read_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Read, read_cpu);
-                        now += open_cpu;
-                        self.ranks[(r) - self.rank_base]
-                            .kprof
-                            .record(Sysno::Close, open_cpu);
-                    }
-                    _ => {
-                        for (sysno, service) in [
-                            (Sysno::Open, open_cpu),
-                            (Sysno::Read, read_cpu),
-                            (Sysno::Close, open_cpu),
-                        ] {
-                            let g = self.nodes[(node_idx) - self.node_base]
-                                .delegator
-                                .offload(now, sysno, service);
-                            self.ranks[(r) - self.rank_base]
-                                .kprof
-                                .record(sysno, g.complete - now);
-                            now = g.complete;
-                        }
-                    }
-                }
-                now
-            }
-            HostOp::Nanosleep(d) => {
-                // Local on both kernels; kernel handling is tiny, the
-                // sleep itself is idle time.
-                let cpu = Ns::micros(1);
-                self.ranks[(r) - self.rank_base]
-                    .kprof
-                    .record(Sysno::Nanosleep, cpu);
-                now + cpu + d
-            }
+            self.sent_seen[r] = epoch;
+            let now = t.max(self.ranks[r].clock);
+            self.run_rank(m.rank, now);
         }
     }
 }
@@ -2848,7 +2091,7 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
         let mut shard_finish = FinishSketch::new();
         for r in &w.ranks {
             mpi.merge(r.engine.profile());
-            kprof.merge(&r.kprof);
+            kprof.merge(&r.kernel.kprof);
             let at = r.engine.finished_at().unwrap_or(r.clock);
             shard_finish.record(at.0);
             if record_per_rank {
@@ -2881,8 +2124,8 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
             as u64;
         shard_gate_nodes += w.fabric.gate_nodes_allocated() as u64;
         for n in &w.nodes {
-            offloaded += n.delegator.offloaded();
-            queue_wait += n.delegator.total_queue_wait();
+            offloaded += n.delegator().offloaded();
+            queue_wait += n.delegator().total_queue_wait();
             tid_programs += n.chip.tid_programs();
             pio += n.chip.pio_sends();
         }
@@ -2956,24 +2199,6 @@ fn collect_many(worlds: Vec<World>, elapsed_secs: f64, threads: u32, shards: u32
 /// Convenience: build and run an app under a configuration.
 pub fn run_app(cfg: ClusterConfig, app: App, iters: u32) -> RunResult {
     World::new(cfg, app, iters).run()
-}
-
-/// Convenience: the paper configuration for `os` at `nodes` ×
-/// `app.paper_ranks_per_node()` (scaled down by `rpn_override`).
-pub fn paper_config(
-    os: OsConfig,
-    app: App,
-    nodes: u32,
-    rpn_override: Option<u32>,
-) -> ClusterConfig {
-    let rpn = rpn_override.unwrap_or_else(|| app.paper_ranks_per_node());
-    ClusterConfig::paper(
-        os,
-        JobShape {
-            nodes,
-            ranks_per_node: rpn,
-        },
-    )
 }
 
 /// The AppSpec for reporting purposes.

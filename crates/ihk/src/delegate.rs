@@ -5,8 +5,7 @@
 //! removes from the fast path.
 
 use crate::ikc::IkcConfig;
-use crate::syscall::Sysno;
-use pico_sim::{Ns, ServerPool, TimeByKey};
+use pico_sim::{Ns, ServerPool};
 
 /// The outcome of one offloaded call, fully scheduled at submission time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,7 +32,6 @@ impl OffloadGrant {
 pub struct Delegator {
     cfg: IkcConfig,
     pool: ServerPool,
-    per_call: TimeByKey<Sysno>,
     offloaded: u64,
 }
 
@@ -43,7 +41,6 @@ impl Delegator {
         Delegator {
             cfg,
             pool: ServerPool::new(service_cores),
-            per_call: TimeByKey::new(),
             offloaded: 0,
         }
     }
@@ -57,7 +54,7 @@ impl Delegator {
     /// `service`. The service core is additionally occupied for the
     /// proxy overhead (context switches, cache pollution, reply).
     /// Returns the complete schedule.
-    pub fn offload(&mut self, now: Ns, sysno: Sysno, service: Ns) -> OffloadGrant {
+    pub fn offload(&mut self, now: Ns, service: Ns) -> OffloadGrant {
         let arrive = now + self.cfg.one_way + self.cfg.proxy_dispatch;
         // Context-switch thrash: the longer the backlog at the service
         // pool, the more proxies are being juggled per core and the more
@@ -69,7 +66,6 @@ impl Delegator {
             .submit(arrive, service + self.cfg.proxy_service + thrash);
         let complete = grant.finish + self.cfg.one_way;
         self.offloaded += 1;
-        self.per_call.record(sysno, complete - now);
         OffloadGrant {
             arrive,
             start: grant.start,
@@ -88,11 +84,6 @@ impl Delegator {
     /// Total calls offloaded.
     pub fn offloaded(&self) -> u64 {
         self.offloaded
-    }
-
-    /// Cumulative wall time per offloaded syscall (includes queueing).
-    pub fn per_call_stats(&self) -> &TimeByKey<Sysno> {
-        &self.per_call
     }
 
     /// Total queueing delay suffered at the service pool.
@@ -126,7 +117,7 @@ mod tests {
     #[test]
     fn uncontended_offload_is_round_trip_plus_service() {
         let mut d = delegator(4);
-        let g = d.offload(Ns(0), Sysno::Writev, Ns(2000));
+        let g = d.offload(Ns(0), Ns(2000));
         assert_eq!(g.arrive, Ns(1500));
         assert_eq!(g.start, Ns(1500));
         assert_eq!(g.linux_done, Ns(3500));
@@ -140,7 +131,7 @@ mod tests {
         let mut d = delegator(4);
         let mut last = Ns::ZERO;
         for _ in 0..64 {
-            let g = d.offload(Ns(0), Sysno::Ioctl, Ns(10_000));
+            let g = d.offload(Ns(0), Ns(10_000));
             last = last.max(g.complete);
         }
         // 64 jobs of 10 µs on 4 cores: the last waits ~15 service slots.
@@ -154,7 +145,7 @@ mod tests {
         let mut wide = delegator(64);
         let mut last_wide = Ns::ZERO;
         for _ in 0..64 {
-            let g = wide.offload(Ns(0), Sysno::Ioctl, Ns(10_000));
+            let g = wide.offload(Ns(0), Ns(10_000));
             last_wide = last_wide.max(g.complete);
         }
         assert_eq!(last_wide, uncontended);
@@ -164,14 +155,10 @@ mod tests {
     #[test]
     fn stats_accumulate_per_syscall() {
         let mut d = delegator(2);
-        d.offload(Ns(0), Sysno::Writev, Ns(100));
-        d.offload(Ns(0), Sysno::Writev, Ns(100));
-        d.offload(Ns(0), Sysno::Mmap, Ns(100));
+        for _ in 0..3 {
+            d.offload(Ns(0), Ns(100));
+        }
         assert_eq!(d.offloaded(), 3);
-        let (count, total) = d.per_call_stats().get(&Sysno::Writev);
-        assert_eq!(count, 2);
-        assert!(total > Ns::ZERO);
-        assert_eq!(d.per_call_stats().get(&Sysno::Mmap).0, 1);
         assert_eq!(d.service_busy(), Ns(300));
     }
 }

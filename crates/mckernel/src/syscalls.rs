@@ -8,7 +8,6 @@
 //! commands keep going to the unmodified Linux driver.
 
 use pico_ihk::{SyscallRoute, Sysno};
-use std::collections::BTreeSet;
 
 /// `ioctl` command space of the HFI1 driver. The driver implements over a
 /// dozen commands; exactly three concern expected-receive buffers.
@@ -61,41 +60,59 @@ impl HfiIoctlCmd {
     ];
 }
 
-/// The routing table of one McKernel instance.
-#[derive(Clone, Debug)]
+/// The routing table of one McKernel instance: one bit per [`Sysno`] in
+/// each mask, so a route costs one AND and the table is `Copy`.
+#[derive(Clone, Copy, Debug)]
 pub struct SyscallTable {
-    local: BTreeSet<Sysno>,
+    local: u16,
     /// Fast-path syscalls added by a PicoDriver port.
-    fastpath: BTreeSet<Sysno>,
+    fastpath: u16,
+}
+
+// Every syscall needs its own bit in a `u16` mask.
+const _: () = assert!(Sysno::ALL.len() <= 16);
+
+const fn bit(nr: Sysno) -> u16 {
+    1 << nr as u16
 }
 
 impl SyscallTable {
     /// The baseline McKernel table: local memory management, scheduling
     /// and signal calls; device/file calls offloaded.
-    pub fn base() -> SyscallTable {
-        let local = [Sysno::Mmap, Sysno::Munmap, Sysno::Nanosleep, Sysno::Futex]
-            .into_iter()
-            .collect();
+    pub const fn base() -> SyscallTable {
         SyscallTable {
-            local,
-            fastpath: BTreeSet::new(),
+            local: bit(Sysno::Mmap)
+                | bit(Sysno::Munmap)
+                | bit(Sysno::Nanosleep)
+                | bit(Sysno::Futex),
+            fastpath: 0,
         }
     }
 
     /// The table with the HFI PicoDriver loaded: `writev` and the TID
     /// `ioctl` subset become fast paths.
-    pub fn with_hfi_picodriver() -> SyscallTable {
-        let mut t = SyscallTable::base();
-        t.fastpath.insert(Sysno::Writev);
-        t.fastpath.insert(Sysno::Ioctl);
-        t
+    pub const fn with_hfi_picodriver() -> SyscallTable {
+        SyscallTable {
+            fastpath: bit(Sysno::Writev) | bit(Sysno::Ioctl),
+            ..SyscallTable::base()
+        }
     }
 
     /// Route a plain syscall.
-    pub fn route(&self, nr: Sysno) -> SyscallRoute {
-        if self.local.contains(&nr) {
+    pub fn route(self, nr: Sysno) -> SyscallRoute {
+        if self.local & bit(nr) != 0 {
             SyscallRoute::Local
-        } else if self.fastpath.contains(&nr) {
+        } else {
+            self.route_device(nr)
+        }
+    }
+
+    /// Route a call on a device file: the device belongs to the Linux
+    /// driver, so it is offloaded even where the LWK handles the plain
+    /// call itself (a device-region `mmap` is not an anonymous one),
+    /// unless a PicoDriver port made it a fast path.
+    pub fn route_device(self, nr: Sysno) -> SyscallRoute {
+        if self.fastpath & bit(nr) != 0 {
             SyscallRoute::FastPath
         } else {
             SyscallRoute::Offloaded
@@ -105,17 +122,12 @@ impl SyscallTable {
     /// Route an `ioctl` with a specific command: only the three TID
     /// commands take the fast path even when the PicoDriver is loaded —
     /// every other command transparently reaches the Linux driver.
-    pub fn route_ioctl(&self, cmd: HfiIoctlCmd) -> SyscallRoute {
-        if self.fastpath.contains(&Sysno::Ioctl) && cmd.is_tid_op() {
-            SyscallRoute::FastPath
+    pub fn route_ioctl(self, cmd: HfiIoctlCmd) -> SyscallRoute {
+        if cmd.is_tid_op() {
+            self.route_device(Sysno::Ioctl)
         } else {
             SyscallRoute::Offloaded
         }
-    }
-
-    /// Whether a PicoDriver fast path is installed for `nr`.
-    pub fn has_fastpath(&self, nr: Sysno) -> bool {
-        self.fastpath.contains(&nr)
     }
 }
 
@@ -132,6 +144,9 @@ mod tests {
         assert_eq!(t.route(Sysno::Ioctl), SyscallRoute::Offloaded);
         assert_eq!(t.route(Sysno::Open), SyscallRoute::Offloaded);
         assert_eq!(t.route(Sysno::Read), SyscallRoute::Offloaded);
+        assert_eq!(t.route_device(Sysno::Mmap), SyscallRoute::Offloaded);
+        assert_eq!(t.route_device(Sysno::Open), SyscallRoute::Offloaded);
+        assert_eq!(t.route_device(Sysno::Writev), SyscallRoute::Offloaded);
     }
 
     #[test]
@@ -143,6 +158,10 @@ mod tests {
         assert_eq!(t.route(Sysno::Open), SyscallRoute::Offloaded);
         assert_eq!(t.route(Sysno::Poll), SyscallRoute::Offloaded);
         assert_eq!(t.route(Sysno::Mmap), SyscallRoute::Local);
+        // A device-region mmap still reaches the Linux driver.
+        assert_eq!(t.route_device(Sysno::Mmap), SyscallRoute::Offloaded);
+        assert_eq!(t.route_device(Sysno::Close), SyscallRoute::Offloaded);
+        assert_eq!(t.route_device(Sysno::Writev), SyscallRoute::FastPath);
     }
 
     #[test]

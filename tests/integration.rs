@@ -190,11 +190,49 @@ fn full_stack_determinism() {
 /// every OS configuration. Each rank maps and unmaps 16 MiB of scratch
 /// four times, so the runs go through the Linux 4 KiB and the McKernel
 /// large-page mmap/munmap paths, whose leaf counts set the simulated
-/// syscall costs. The values were captured at commit e53856e, before the
+/// syscall costs. The digests were captured at commit e53856e, before the
 /// bitmap frame allocator, page-table reclaim and range teardown; any
-/// change in what those paths allocate or count moves them.
+/// change in what those paths allocate or count moves them. The kernel
+/// columns were captured at commit 5b28f88, before McKernel's syscall
+/// table became the one routing source: `(offloaded_calls,
+/// offload_queue_wait, tid_programs)` and the per-syscall profile as
+/// `(sysno, count, ns)` in `sorted_desc` order. Every OS issues all seven
+/// modelled calls here, so a call charged under the wrong `Sysno` or
+/// route moves them even where the finish digest would not.
 #[test]
 fn qbox_digests_pinned() {
+    use Sysno::{Close, Ioctl, Mmap, Munmap, Open, Read, Writev};
+    let linux = [
+        (Read, 8, 1_054_176),
+        (Mmap, 80, 510_400),
+        (Ioctl, 96, 488_960),
+        (Writev, 48, 367_520),
+        (Open, 16, 335_200),
+        (Close, 16, 173_200),
+        (Munmap, 32, 124_800),
+    ];
+    let mck = |open| {
+        [
+            (Ioctl, 96, 1_380_878),
+            (Open, 16, open),
+            (Read, 8, 1_126_976),
+            (Munmap, 32, 928_000),
+            (Mmap, 80, 883_200),
+            (Writev, 48, 813_027),
+            (Close, 16, 318_800),
+        ]
+    };
+    let hfi = |open| {
+        [
+            (Open, 16, open),
+            (Read, 8, 1_126_976),
+            (Munmap, 32, 928_000),
+            (Mmap, 80, 883_200),
+            (Close, 16, 318_800),
+            (Writev, 48, 106_272),
+            (Ioctl, 96, 20_664),
+        ]
+    };
     let golden = [
         (
             OsConfig::Linux,
@@ -202,6 +240,8 @@ fn qbox_digests_pinned() {
             0x3362_4095_2147_af25,
             0x737f_43de_1b5e_92b1,
             0x1ba1_ee06_abc9_4060,
+            (0, 0, 2816),
+            linux,
         ),
         (
             OsConfig::Linux,
@@ -209,6 +249,8 @@ fn qbox_digests_pinned() {
             0x761e_b414_5c3a_fb3f,
             0xbb79_8d02_ba4e_3eb4,
             0x8fb8_c6a4_f8a0_bf61,
+            (0, 0, 2816),
+            linux,
         ),
         (
             OsConfig::McKernel,
@@ -216,6 +258,8 @@ fn qbox_digests_pinned() {
             0x2e30_63ab_375d_1545,
             0xbc8f_5291_ddb7_6a2e,
             0x583d_677e_f730_bcd1,
+            (232, 684_252, 2816),
+            mck(1_259_952),
         ),
         (
             OsConfig::McKernel,
@@ -223,6 +267,8 @@ fn qbox_digests_pinned() {
             0x8e6a_c158_1d75_e456,
             0xba50_21cb_f3e9_a924,
             0xf8e5_c02d_1a42_426d,
+            (232, 673_430, 2816),
+            mck(1_247_002),
         ),
         (
             OsConfig::McKernelHfi,
@@ -230,6 +276,8 @@ fn qbox_digests_pinned() {
             0xe74f_053e_913f_7c25,
             0x6635_ce77_1b41_1e30,
             0x9e32_9191_fe64_2b2b,
+            (88, 662_634, 6),
+            hfi(1_259_956),
         ),
         (
             OsConfig::McKernelHfi,
@@ -237,9 +285,11 @@ fn qbox_digests_pinned() {
             0x8359_f911_b266_1956,
             0x3ddf_3ee5_a7f2_6033,
             0xa3cb_89f0_295d_5ebe,
+            (88, 651_809, 6),
+            hfi(1_247_003),
         ),
     ];
-    for (os, seed, finish, arrival, bulk) in golden {
+    for (os, seed, finish, arrival, bulk, kernel, prof) in golden {
         let mut cfg = paper_config(os, App::Qbox, 2, Some(4));
         cfg.seed = seed;
         let r = run_app(cfg, App::Qbox, 1);
@@ -249,6 +299,18 @@ fn qbox_digests_pinned() {
             (finish, arrival, bulk),
             "{os:?} seed {seed}"
         );
+        assert_eq!(
+            (r.offloaded_calls, r.offload_queue_wait.0, r.tid_programs),
+            kernel,
+            "{os:?} seed {seed}"
+        );
+        let got: Vec<(Sysno, u64, u64)> = r
+            .kernel_profile
+            .sorted_desc()
+            .into_iter()
+            .map(|(s, count, ns)| (s, count, ns.0))
+            .collect();
+        assert_eq!(got, prof, "{os:?} seed {seed}");
     }
 }
 
